@@ -228,8 +228,9 @@ class MassFunction:
                 raise FrameMismatchError("focal clause belongs to another frame")
             if clause.kind != CONJUNCTION:
                 raise ValueError("mass-function focals must be conjunction clauses")
-            if mass < 0:
-                raise NormalizationError(f"negative mass {mass} on {clause}")
+            if not mass >= 0:  # also rejects NaN
+                kind = "negative" if mass < 0 else "NaN"
+                raise NormalizationError(f"{kind} mass {mass} on {clause}")
             if mass > 0:
                 cleaned[clause] = cleaned.get(clause, 0.0) + mass
         total = math.fsum(cleaned.values())
@@ -350,6 +351,25 @@ def combine_all(ms: list[MassFunction]) -> CombineOutcome:
 
 # --- text format (shared with the CLI) ---
 
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of ``text`` with ``#`` comments stripped, each
+    with its line number counted from 1."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def focal_fields(lineno: int, fields: list[str]) -> tuple[str, float]:
+    """The clause text and mass of a ``focal <clause> <mass>`` line."""
+    if len(fields) != 3:
+        raise ParseError(f"line {lineno}: expected 'focal <clause> <mass>'")
+    try:
+        return fields[1], float(fields[2])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad mass {fields[2]!r}") from None
+
+
 def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
     """Parse the mass-function text format.
 
@@ -357,22 +377,14 @@ def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
     in); each ``focal <clause> <mass>`` line adds one focal element.
     """
     focal_lines: list[tuple[str, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         fields = line.split()
         if fields[0] == "frame":
             if frame is not None:
                 raise ParseError(f"line {lineno}: frame declared twice")
             frame = make_frame(fields[1:])
         elif fields[0] == "focal":
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 'focal <clause> <mass>'")
-            try:
-                focal_lines.append((fields[1], float(fields[2])))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad mass {fields[2]!r}") from None
+            focal_lines.append(focal_fields(lineno, fields))
         else:
             raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
     if frame is None:

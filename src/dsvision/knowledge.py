@@ -25,8 +25,10 @@ from .evidence import (
     Frame,
     MassFunction,
     clause_subset,
+    focal_fields,
     make_frame,
     simple_support,
+    text_lines,
 )
 
 
@@ -40,20 +42,22 @@ class KnowledgeSource:
     theta_mass: float
 
     def __post_init__(self):
-        total = math.fsum(m for _, m in self.focals) + self.theta_mass
-        if abs(total - 1.0) > MASS_SUM_TOL:
-            raise NormalizationError(f"knowledge masses sum to {total}, expected 1")
-        if self.theta_mass < 0:
-            raise NormalizationError("negative theta mass")
+        # masses are checked before they are summed, since fsum raises on
+        # inf + -inf; the inverted comparisons also reject NaN
         for clause, mass in self.focals:
             if clause.frame != self.frame:
                 raise FrameMismatchError("knowledge focal over a different frame")
-            if mass <= 0:
+            if not mass > 0:
                 raise NormalizationError(f"non-positive mass {mass} on {clause}")
             if not clause.is_positive:
                 raise NegativeLiteralInKnowledgeError(f"negative literal in {clause}")
             if clause.is_theta:
                 raise ParseError("use the theta residual, not a THETA focal")
+        if not self.theta_mass >= 0:
+            raise NormalizationError("negative theta mass")
+        total = math.fsum(m for _, m in self.focals) + self.theta_mass
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise NormalizationError(f"knowledge masses sum to {total}, expected 1")
 
     @staticmethod
     def build(name: str, frame: Frame, focals: dict[str, float]) -> "KnowledgeSource":
@@ -111,10 +115,7 @@ def parse_knowledge(text: str) -> KnowledgeSource:
     frame = None
     theta_mass = 0.0
     focal_lines: list[tuple[str, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         fields = line.split()
         if fields[0] == "hypothesis":
             if len(fields) != 2:
@@ -123,16 +124,11 @@ def parse_knowledge(text: str) -> KnowledgeSource:
         elif fields[0] == "frame":
             frame = make_frame(fields[1:])
         elif fields[0] == "focal":
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 'focal <clause> <mass>'")
-            try:
-                mass = float(fields[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad mass {fields[2]!r}") from None
-            if fields[1] == "THETA":
+            clause_text, mass = focal_fields(lineno, fields)
+            if clause_text == "THETA":
                 theta_mass += mass
             else:
-                focal_lines.append((fields[1], mass))
+                focal_lines.append((clause_text, mass))
         else:
             raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
     if name is None:

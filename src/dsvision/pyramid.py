@@ -7,20 +7,19 @@ horizontal long edges hypothesize window rectangles.  Candidates then run
 through the staged belief chain: feature evidence, sibling alignment, and
 non-window evidence from the building boundary.
 
-All stages are pure functions of (image, config); per-cell and per-candidate
-work may be spread over any number of workers without changing the output.
+All stages are pure functions of (image, config).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assessment import BeliefTables, FeatureMeasurements, feature_supports
-from .errors import BadDimensionsError, ParseError, RectOutOfBoundsError
+from .errors import BadDimensionsError, InvalidParamsError, ParseError, RectOutOfBoundsError
+from .evidence import text_lines
 from .knowledge import KnowledgeSource
 from .stages import stage_a_belief, stage_b_belief, stage_c_belief
 
@@ -42,6 +41,13 @@ _COLLINEAR_PAIRS = {
 for _d in (4, 5, 6, 7):
     _COLLINEAR_PAIRS[_d] = _COLLINEAR_PAIRS[_d - 4]
 
+_INT_KEYS = ("short_support", "long_support", "pair_min_sep", "pair_max_sep",
+             "sibling_tolerance", "cluster_distance")
+_FLOAT_KEYS = ("edge_threshold", "survivor_threshold", "sibling_support",
+               "non_window_support", "quality_weight")
+_BAND_KEYS = ("elongation_bands", "hv_d_bands", "boundary_bands")
+_UNIT_KEYS = ("sibling_support", "non_window_support", "quality_weight")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -56,8 +62,30 @@ class PipelineConfig:
     non_window_support: float = 0.5
     cluster_distance: int = 2        # level-5 cells
     quality_weight: float = 1.0
-    workers: int = 1
     tables: BeliefTables = field(default_factory=BeliefTables)
+
+    def __post_init__(self):
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidParamsError(f"{key} = {getattr(self, key)} is not finite")
+        if min(self.short_support, self.long_support) < 1:
+            raise InvalidParamsError("short_support and long_support must be at least 1")
+        if min(self.pair_min_sep, self.sibling_tolerance, self.cluster_distance) < 0:
+            raise InvalidParamsError("separations and distances must be non-negative")
+        if self.pair_min_sep > self.pair_max_sep:
+            raise InvalidParamsError(
+                f"pair_min_sep {self.pair_min_sep} exceeds pair_max_sep {self.pair_max_sep}")
+        # table thresholds may be infinite (always or never met), not NaN
+        bounds = [bound for key in _BAND_KEYS for bound, _ in getattr(self.tables, key)]
+        if any(math.isnan(bound) for bound in bounds + [self.tables.low_edgedness]):
+            raise InvalidParamsError("belief table thresholds must not be NaN")
+        # supports, weights and table beliefs are masses
+        unit = [(key, getattr(self, key)) for key in _UNIT_KEYS]
+        unit += [(key, bel) for key in _BAND_KEYS for _, bel in getattr(self.tables, key)]
+        unit.append(("low_edgedness_belief", self.tables.low_edgedness_belief))
+        for key, value in unit:
+            if not 0.0 <= value <= 1.0:
+                raise InvalidParamsError(f"{key} value {value} outside [0, 1]")
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -66,29 +94,21 @@ def parse_config(text: str) -> PipelineConfig:
     Belief-table bands are comma-separated ``threshold:value`` pairs, e.g.
     ``boundary_bands = 0.75:0.6,0.4:0.3,0.15:0.1``.
     """
-    ints = {"short_support", "long_support", "pair_min_sep", "pair_max_sep",
-            "sibling_tolerance", "cluster_distance", "workers"}
-    floats = {"edge_threshold", "survivor_threshold", "sibling_support",
-              "non_window_support", "quality_weight"}
-    bands = {"elongation_bands", "hv_d_bands", "boundary_bands"}
     table_floats = {"low_edgedness", "low_edgedness_belief"}
     cfg_kwargs: dict = {}
     table_kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key in ints:
+            if key in _INT_KEYS:
                 cfg_kwargs[key] = int(value)
-            elif key in floats:
+            elif key in _FLOAT_KEYS:
                 cfg_kwargs[key] = float(value)
             elif key in table_floats:
                 table_kwargs[key] = float(value)
-            elif key in bands:
+            elif key in _BAND_KEYS:
                 pairs = []
                 for item in value.split(","):
                     bound, bel = item.split(":")
@@ -102,15 +122,6 @@ def parse_config(text: str) -> PipelineConfig:
             raise ParseError(f"line {lineno}: bad value {value!r} for {key}") from None
     tables = BeliefTables(**table_kwargs) if table_kwargs else BeliefTables()
     return PipelineConfig(tables=tables, **cfg_kwargs)
-
-
-def _parallel_map(fn, items, workers: int):
-    """Order-preserving map over a worker pool; workers <= 1 runs inline."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -152,14 +163,6 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
 
 
 @dataclass(frozen=True)
-class MicroEdge:
-    row: int
-    col: int
-    direction: int
-    magnitude: float
-
-
-@dataclass(frozen=True)
 class EdgeSegment:
     level: int
     row: int
@@ -176,26 +179,8 @@ class EdgeField:
     directions: np.ndarray
     magnitudes: np.ndarray
 
-    def micro_edge(self, row: int, col: int) -> MicroEdge | None:
-        d = int(self.directions[row, col])
-        if d == NO_EDGE:
-            return None
-        return MicroEdge(row, col, d, float(self.magnitudes[row, col]))
-
     def count(self) -> int:
         return int(np.count_nonzero(self.directions != NO_EDGE))
-
-
-def _sobel_band(image: np.ndarray, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 weighted central differences for rows [r0, r1) of the interior."""
-    band = image[r0 - 1:r1 + 1, :]
-    # gx: right column sum minus left column sum, rows weighted 1,2,1
-    col_weighted = (band[:-2, :] + 2.0 * band[1:-1, :] + band[2:, :])
-    gx = col_weighted[:, 2:] - col_weighted[:, :-2]
-    # gy: bottom row sum minus top row sum, columns weighted 1,2,1
-    row_weighted = band[:, :-2] + 2.0 * band[:, 1:-1] + band[:, 2:]
-    gy = row_weighted[2:, :] - row_weighted[:-2, :]
-    return gx, gy
 
 
 def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -> EdgeField:
@@ -207,28 +192,21 @@ def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -
     """
     image = p.base
     n = image.shape[0]
+    # 3x3 weighted central differences over the interior
+    # gx: right column sum minus left column sum, rows weighted 1,2,1
+    col_weighted = image[:-2, :] + 2.0 * image[1:-1, :] + image[2:, :]
+    gx = col_weighted[:, 2:] - col_weighted[:, :-2]
+    # gy: bottom row sum minus top row sum, columns weighted 1,2,1
+    row_weighted = image[:, :-2] + 2.0 * image[:, 1:-1] + image[:, 2:]
+    gy = row_weighted[2:, :] - row_weighted[:-2, :]
+    mag = np.abs(gx) + np.abs(gy)
+    hit = mag >= config.edge_threshold
+    quantized = np.round(np.degrees(np.arctan2(gy, gx)) / 45.0).astype(np.int64) % 8
     directions = np.full((n, n), NO_EDGE, dtype=np.int8)
     magnitudes = np.zeros((n, n), dtype=np.float64)
-    bands = _row_bands(1, n - 1, config.workers)
-
-    def work(band):
-        r0, r1 = band
-        return _sobel_band(image, r0, r1)
-
-    for (r0, r1), (gx, gy) in zip(bands, _parallel_map(work, bands, config.workers)):
-        mag = np.abs(gx) + np.abs(gy)
-        hit = mag >= config.edge_threshold
-        quantized = np.round(np.degrees(np.arctan2(gy, gx)) / 45.0).astype(np.int64) % 8
-        sub_dir = np.where(hit, quantized, NO_EDGE).astype(np.int8)
-        directions[r0:r1, 1:n - 1] = sub_dir
-        magnitudes[r0:r1, 1:n - 1] = np.where(hit, mag, 0.0)
+    directions[1:n - 1, 1:n - 1] = np.where(hit, quantized, NO_EDGE)
+    magnitudes[1:n - 1, 1:n - 1] = np.where(hit, mag, 0.0)
     return EdgeField(directions, magnitudes)
-
-
-def _row_bands(r0: int, r1: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, workers)
-    size = max(1, math.ceil((r1 - r0) / workers))
-    return [(s, min(s + size, r1)) for s in range(r0, r1, size)]
 
 
 def short_edge_at(micro: EdgeField, row6: int, col6: int, direction: int,
@@ -247,20 +225,14 @@ def aggregate_short_edges(p: Pyramid, micro: EdgeField,
     enough of its four children agree on it."""
     n6 = p.base.shape[0] // 2
     level = p.base_level - 1
-
-    def work(row6):
-        out = []
+    segments = []
+    for row6 in range(n6):
         for col6 in range(n6):
             block = micro.directions[2 * row6:2 * row6 + 2, 2 * col6:2 * col6 + 2]
             for d in range(8):
                 count = int(np.count_nonzero(block == d))
                 if count >= config.short_support:
-                    out.append(EdgeSegment(level, row6, col6, d, count))
-        return out
-
-    segments = []
-    for chunk in _parallel_map(work, range(n6), config.workers):
-        segments.extend(chunk)
+                    segments.append(EdgeSegment(level, row6, col6, d, count))
     return segments
 
 
@@ -290,19 +262,13 @@ def aggregate_long_edges(p: Pyramid, short: list[EdgeSegment],
     n5 = p.base.shape[0] // 4
     level = p.base_level - 2
     short_set = {(s.row, s.col, s.direction) for s in short}
-
-    def work(row5):
-        out = []
+    segments = []
+    for row5 in range(n5):
         for col5 in range(n5):
             for d in range(8):
                 seg = long_edge_at(short_set, row5, col5, d, config.long_support)
                 if seg is not None:
-                    out.append(EdgeSegment(level, seg.row, seg.col, d, seg.support_count))
-        return out
-
-    segments = []
-    for chunk in _parallel_map(work, range(n5), config.workers):
-        segments.extend(chunk)
+                    segments.append(EdgeSegment(level, seg.row, seg.col, d, seg.support_count))
     return segments
 
 
@@ -387,27 +353,40 @@ def _edge_runs(long_edges: list[EdgeSegment], directions) -> list[tuple[int, int
     return runs
 
 
-def _edge_lines(long_edges: list[EdgeSegment], directions) -> list[EdgeLine]:
-    """Fuse runs on adjacent rows that overlap in columns into edge lines."""
-    runs = _edge_runs(long_edges, directions)
-    parent = list(range(len(runs)))
+def _components(n: int, links) -> list[list[int]]:
+    """Connected components of the indices 0..n-1 under the (i, j) links.
 
-    def find(i):
+    Members ascend within a component, and components are ordered by their
+    lowest member.
+    """
+    parent = list(range(n))
+
+    def root(i):
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    for i, (d1, row1, s1, e1) in enumerate(runs):
-        for j in range(i + 1, len(runs)):
-            d2, row2, s2, e2 = runs[j]
-            if d2 == d1 and abs(row2 - row1) == 1 and s1 <= e2 and s2 <= e1:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for i, run in enumerate(runs):
-        groups.setdefault(find(i), []).append(run)
+    for i, j in links:
+        parent[root(i)] = root(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def _edge_lines(long_edges: list[EdgeSegment], directions) -> list[EdgeLine]:
+    """Fuse runs on adjacent rows that overlap in columns into edge lines."""
+    runs = _edge_runs(long_edges, directions)
+    links = (
+        (i, j)
+        for i, (d1, row1, s1, e1) in enumerate(runs)
+        for j, (d2, row2, s2, e2) in enumerate(runs[i + 1:], i + 1)
+        if d2 == d1 and abs(row2 - row1) == 1 and s1 <= e2 and s2 <= e1
+    )
     lines = []
-    for members in groups.values():
+    for group in _components(len(runs), links):
+        members = [runs[i] for i in group]
         d = members[0][0]
         rows = [row for _, row, _, _ in members]
         lines.append(EdgeLine(
@@ -483,16 +462,10 @@ def stage_a_beliefs(cands: list[CandidateArea], p: Pyramid, micro: EdgeField,
                     window_ks: KnowledgeSource,
                     config: PipelineConfig = PipelineConfig()) -> None:
     """Measure each candidate and verify the feature evidence."""
-
-    def work(c: CandidateArea):
-        m = measure_features(p, c, micro)
-        supports = feature_supports(m, config.tables, config.quality_weight)
-        return m, supports, stage_a_belief(*supports, window_ks=window_ks)
-
-    for c, (m, supports, bel) in zip(cands, _parallel_map(work, cands, config.workers)):
-        c.measurements = m
-        c.supports = supports
-        c.bel_a = bel
+    for c in cands:
+        c.measurements = measure_features(p, c, micro)
+        c.supports = feature_supports(c.measurements, config.tables, config.quality_weight)
+        c.bel_a = stage_a_belief(*c.supports, window_ks=window_ks)
 
 
 def sibling_search(cands: list[CandidateArea],
@@ -535,27 +508,19 @@ def building_boundary(long_edges: list[EdgeSegment], cands: list[CandidateArea],
     if not long_edges or not cands:
         return
     cells = sorted({(seg.row, seg.col) for seg in long_edges})
-    index = {cell: i for i, cell in enumerate(cells)}
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     dist = config.cluster_distance
-    for i, (r1, c1) in enumerate(cells):
-        for j in range(i + 1, len(cells)):
-            r2, c2 = cells[j]
-            if r2 - r1 > dist:
-                break
-            if abs(c2 - c1) <= dist:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[tuple[int, int]]] = {}
-    for cell, i in index.items():
-        clusters.setdefault(find(i), []).append(cell)
-    densest = max(clusters.values(), key=lambda members: (len(members), members[0]))
+
+    def links():
+        for i, (r1, c1) in enumerate(cells):
+            for j in range(i + 1, len(cells)):
+                r2, c2 = cells[j]
+                if r2 - r1 > dist:
+                    break  # cells are sorted by row
+                if abs(c2 - c1) <= dist:
+                    yield i, j
+
+    clusters = [[cells[i] for i in group] for group in _components(len(cells), links())]
+    densest = max(clusters, key=lambda members: (len(members), members[0]))
     rows = [r for r, _ in densest]
     cols = [col for _, col in densest]
     top, bottom = min(rows) * 4, (max(rows) + 1) * 4
@@ -568,20 +533,14 @@ def building_boundary(long_edges: list[EdgeSegment], cands: list[CandidateArea],
 
 def stage_b_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource,
                     config: PipelineConfig = PipelineConfig()) -> None:
-    bels = _parallel_map(
-        lambda c: stage_b_belief(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks),
-        cands, config.workers)
-    for c, bel in zip(cands, bels):
-        c.bel_b = bel
+    for c in cands:
+        c.bel_b = stage_b_belief(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks)
 
 
 def stage_c_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource,
                     config: PipelineConfig = PipelineConfig()) -> None:
-    bels = _parallel_map(
-        lambda c: stage_c_belief(c.bel_a, c.non_window, c.v_sibl, c.h_sibl, sibling_ks),
-        cands, config.workers)
-    for c, bel in zip(cands, bels):
-        c.bel_c = bel
+    for c in cands:
+        c.bel_c = stage_c_belief(c.bel_a, c.non_window, c.v_sibl, c.h_sibl, sibling_ks)
 
 
 @dataclass(frozen=True)

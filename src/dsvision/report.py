@@ -54,11 +54,6 @@ def format_report(rows: list[ReportRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(rows: list[ReportRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(rows))
-
-
 def _hue(bel: float) -> tuple[int, int, int]:
     if bel >= 0.4:
         return HUE_STRONG

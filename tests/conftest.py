@@ -6,6 +6,12 @@ from dsvision.evidence import Clause, Frame, MassFunction, make_frame
 from dsvision.knowledge import KnowledgeSource
 
 
+# sha256 of the bundled facade's report and overlay bytes, recorded at the seed
+# commit; any change to them is a change in the program's output
+FACADE_REPORT_SHA256 = "283de6c321f7952440be8b810b3ae98159aeb588f784b43178480176835c389a"
+FACADE_OVERLAY_SHA256 = "b8c491670581174753aec4551c133eb5215f5916af0951eafe73b423f652cea2"
+
+
 @pytest.fixture
 def shutter_frame() -> Frame:
     return make_frame(["long", "low", "next-to"])

@@ -64,6 +64,12 @@ class TestCombine:
         assert main(["combine", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_mass(self, tmp_path, capsys):
+        path = tmp_path / "nan.mass"
+        path.write_text("frame a\nfocal a nan\nfocal THETA 1.0\n")
+        assert main(["combine", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_worked_example(self, tmp_path, capsys):
@@ -82,6 +88,16 @@ class TestVerify:
         ks.write_text(SHUTTER_KNOWLEDGE)
         assert main(["verify", "--evidence", str(ev), "--knowledge", str(ks)]) == 0
         assert "Bel(shutter) = 0.000" in capsys.readouterr().out
+
+    def test_nan_knowledge_mass(self, tmp_path, capsys):
+        ev = tmp_path / "ev.mass"
+        ks = tmp_path / "ks.know"
+        ev.write_text(SHUTTER_EVIDENCE)
+        ks.write_text(SHUTTER_KNOWLEDGE.replace("focal low 0.15", "focal low nan"))
+        assert main(["verify", "--evidence", str(ev), "--knowledge", str(ks)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_output_file(self, tmp_path):
         ev = tmp_path / "ev.mass"
@@ -147,6 +163,21 @@ class TestPipeline:
         cfg.write_text("edge_threshold = 10000\n")
         assert main(["pipeline", facade_pgm, "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == []
+
+    @pytest.mark.parametrize("text", [
+        "workers = 4\n", "edge_threshold = nan\n", "pair_min_sep = 60\npair_max_sep = 40\n",
+    ], ids=["workers", "nan-threshold", "min-above-max-sep"])
+    def test_bad_config_file(self, facade_pgm, tmp_path, capsys, text):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(text)
+        assert main(["pipeline", facade_pgm, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_nan_threshold(self, facade_pgm, capsys):
+        assert main(["pipeline", facade_pgm, "--threshold", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_knowledge_files(self, facade_pgm, tmp_path, capsys):
         window = tmp_path / "window.know"

@@ -320,6 +320,11 @@ class TestMassText:
         with pytest.raises(NormalizationError):
             parse_mass_text("frame a\nfocal a 0.7\n")
 
+    def test_nan_mass_rejected(self):
+        # NaN fails every comparison, so it must not be dropped like a zero
+        with pytest.raises(NormalizationError):
+            parse_mass_text("frame a\nfocal a nan\nfocal THETA 1.0\n")
+
 
 def test_normalization_invariant_after_combine(shutter_frame):
     f = shutter_frame

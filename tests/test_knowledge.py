@@ -169,6 +169,15 @@ class TestParseKnowledge:
         with pytest.raises(NormalizationError):
             parse_knowledge(text)
 
+    @pytest.mark.parametrize("text", [
+        "hypothesis h\nframe a b\nfocal a nan\nfocal b 0.5\nfocal THETA 0.5\n",
+        "hypothesis h\nframe a\nfocal a 1.0\nfocal THETA nan\n",
+        "hypothesis h\nframe a b\nfocal a inf\nfocal b -inf\nfocal THETA 1.0\n",
+    ], ids=["nan-focal", "nan-theta", "inf-minus-inf"])
+    def test_non_finite_mass_rejected(self, text):
+        with pytest.raises(NormalizationError):
+            parse_knowledge(text)
+
     def test_negative_literal_rejected(self):
         text = "hypothesis h\nframe a\nfocal !a 0.5\nfocal THETA 0.5\n"
         with pytest.raises(NegativeLiteralInKnowledgeError):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dsvision.errors import BadDimensionsError, ParseError, RectOutOfBoundsError
+from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
+from dsvision.errors import BadDimensionsError, InvalidParamsError, ParseError, RectOutOfBoundsError
 from dsvision.fixtures import synthetic_facade
 from dsvision.pyramid import (
     NO_EDGE,
@@ -10,6 +13,7 @@ from dsvision.pyramid import (
     EdgeSegment,
     PipelineConfig,
     Rect,
+    _components,
     aggregate_long_edges,
     aggregate_short_edges,
     build_pyramid,
@@ -23,6 +27,7 @@ from dsvision.pyramid import (
     short_edge_at,
     sibling_search,
 )
+from dsvision.report import format_report, report_from_result, write_overlay
 
 
 def step_image(side=16, column=8, low=0.0, high=255.0):
@@ -69,20 +74,14 @@ class TestExtractMicroEdges:
         p = build_pyramid(step_image())
         micro = extract_micro_edges(p)
         # the 3x3 kernel responds in the two columns flanking the step
-        for row in range(1, 15):
-            for col in (7, 8):
-                edge = micro.micro_edge(row, col)
-                assert edge is not None
-                assert edge.direction == 0
-                assert edge.magnitude == pytest.approx(4 * 255.0)
+        assert np.all(micro.directions[1:15, 7:9] == 0)
+        assert np.allclose(micro.magnitudes[1:15, 7:9], 4 * 255.0)
         assert micro.count() == 2 * 14
 
     def test_reversed_step_opposite_polarity(self):
         p = build_pyramid(step_image(low=255.0, high=0.0))
         micro = extract_micro_edges(p)
-        edge = micro.micro_edge(5, 7)
-        assert edge is not None
-        assert edge.direction == 4
+        assert micro.directions[5, 7] == 4
 
     def test_border_cells_emit_nothing(self):
         p = build_pyramid(step_image())
@@ -183,6 +182,13 @@ class TestAggregateLongEdges:
                 for d in range(8):
                     seg = long_edge_at(short_set, row5, col5, d)
                     assert (seg is not None) == ((row5, col5, d) in listed)
+
+
+def test_components_keep_index_order():
+    # groups ordered by their lowest member, members ascending, whatever
+    # the link order: building_boundary's tie-break relies on it
+    assert _components(6, [(3, 0), (5, 1), (4, 1)]) == [[0, 3], [1, 4, 5], [2]]
+    assert _components(0, []) == []
 
 
 class TestFindWindowCandidates:
@@ -353,18 +359,13 @@ class TestStagedBeliefInvariants:
             else:
                 assert c.bel_c <= c.bel_b + 1e-12
 
-    def test_pipeline_deterministic_across_workers(self):
-        fx = synthetic_facade()
-        results = []
-        for workers in (1, 2, 8):
-            config = PipelineConfig(workers=workers)
-            res = run_pipeline(fx.image, config)
-            results.append([
-                (c.id, c.rect, c.supports, c.bel_a, c.v_sibl, c.h_sibl,
-                 c.non_window, c.bel_b, c.bel_c)
-                for c in res.candidates
-            ])
-        assert results[0] == results[1] == results[2]
+    def test_facade_output_pinned(self, tmp_path):
+        result = run_pipeline(synthetic_facade().image)
+        report = format_report(report_from_result(result)).encode()
+        assert hashlib.sha256(report).hexdigest() == FACADE_REPORT_SHA256
+        overlay = tmp_path / "overlay.ppm"
+        write_overlay(result.pyramid.base, result.candidates, str(overlay))
+        assert hashlib.sha256(overlay.read_bytes()).hexdigest() == FACADE_OVERLAY_SHA256
 
 
 class TestParseConfig:
@@ -376,19 +377,46 @@ class TestParseConfig:
         edge_threshold = 48    # steeper contrast needed
         pair_max_sep = 40
         survivor_threshold = 0.25
-        workers = 4
         boundary_bands = 0.5:0.6,0.2:0.3
         """
         config = parse_config(text)
         assert config.edge_threshold == 48.0
         assert config.pair_max_sep == 40
         assert config.survivor_threshold == 0.25
-        assert config.workers == 4
         assert config.tables.boundary_bands == ((0.5, 0.6), (0.2, 0.3))
 
     def test_unknown_key(self):
         with pytest.raises(ParseError):
             parse_config("frobnicate = 3")
+
+    def test_workers_rejected(self):
+        # the pipeline is one sequential path; a worker count is not a setting
+        with pytest.raises(ParseError, match="line 2: unknown key 'workers'"):
+            parse_config("edge_threshold = 32\nworkers = 4\n")
+
+    @pytest.mark.parametrize("line", [
+        "edge_threshold = nan",
+        "survivor_threshold = inf",
+        "quality_weight = -inf",
+        "pair_min_sep = 50",             # above the default pair_max_sep of 48
+        "short_support = 0",
+        "long_support = -1",
+        "pair_min_sep = -4",
+        "sibling_tolerance = -1",
+        "cluster_distance = -2",
+        "boundary_bands = 0.75:1.5",
+        "elongation_bands = 3:-0.1",
+        "hv_d_bands = 4:nan",
+        "boundary_bands = nan:0.6",
+        "low_edgedness = nan",
+        "low_edgedness_belief = 2",
+        "quality_weight = 1.5",
+        "sibling_support = -0.1",
+        "non_window_support = 2",
+    ])
+    def test_invalid_values(self, line):
+        with pytest.raises(InvalidParamsError):
+            parse_config(line)
 
     def test_bad_value(self):
         with pytest.raises(ParseError):
