@@ -61,10 +61,13 @@ def read_pgm(path: str) -> np.ndarray:
             raise TruncatedDataError(
                 f"expected {width * height} samples, got {len(fields)}")
         try:
-            pixels = np.array([int(f) for f in fields[:width * height]], dtype=np.int64)
+            pixels = np.fromiter(map(int, fields[:width * height]), dtype=np.int64,
+                                 count=width * height)
         except ValueError:
             raise TruncatedDataError("non-numeric sample in P2 data") from None
-        if pixels.min() < 0 or pixels.max() > maxval:
+        except OverflowError:
+            raise TruncatedDataError("sample outside [0, maxval]") from None
+        if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
             raise TruncatedDataError("sample outside [0, maxval]")
         pixels = pixels.astype(np.uint8)
     return pixels.reshape(height, width)

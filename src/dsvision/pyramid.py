@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assessment import BeliefTables, FeatureMeasurements, feature_supports
-from .errors import BadDimensionsError, InvalidParamsError, ParseError, RectOutOfBoundsError
+from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
+                     RectOutOfBoundsError)
 from .evidence import text_lines
 from .knowledge import KnowledgeSource
 from .stages import stage_a_belief, stage_b_belief, stage_c_belief
@@ -151,6 +152,8 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
     side = image.shape[0]
     if side < 8 or side & (side - 1):
         raise BadDimensionsError(f"side {side} must be a power of two >= 8")
+    if not np.isfinite(image).all():
+        raise OutOfRangeError("image has a NaN or infinite pixel")
     if side == 512:
         image = image.reshape(128, 4, 128, 4).mean(axis=(1, 3))
         side = 128
@@ -209,14 +212,12 @@ def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -
     return EdgeField(directions, magnitudes)
 
 
-def short_edge_at(micro: EdgeField, row6: int, col6: int, direction: int,
-                  support: int = 2) -> EdgeSegment | None:
-    """Recompute one level-6 cell from its 2x2 child block."""
-    block = micro.directions[2 * row6:2 * row6 + 2, 2 * col6:2 * col6 + 2]
-    count = int(np.count_nonzero(block == direction))
-    if count >= support:
-        return EdgeSegment(6, row6, col6, direction, count)
-    return None
+def _segments(level: int, counts: np.ndarray, keep: np.ndarray) -> list[EdgeSegment]:
+    """The kept (row, col, direction) entries of a level, in row, column,
+    direction order, each with its child count."""
+    rows, cols, dirs = np.nonzero(keep)
+    return [EdgeSegment(level, r, c, d, n) for r, c, d, n in
+            zip(rows.tolist(), cols.tolist(), dirs.tolist(), counts[keep].tolist())]
 
 
 def aggregate_short_edges(p: Pyramid, micro: EdgeField,
@@ -224,52 +225,29 @@ def aggregate_short_edges(p: Pyramid, micro: EdgeField,
     """Short edges one level above the base: a cell holds a direction when
     enough of its four children agree on it."""
     n6 = p.base.shape[0] // 2
-    level = p.base_level - 1
-    segments = []
-    for row6 in range(n6):
-        for col6 in range(n6):
-            block = micro.directions[2 * row6:2 * row6 + 2, 2 * col6:2 * col6 + 2]
-            for d in range(8):
-                count = int(np.count_nonzero(block == d))
-                if count >= config.short_support:
-                    segments.append(EdgeSegment(level, row6, col6, d, count))
-    return segments
-
-
-def long_edge_at(short_set: set[tuple[int, int, int]], row5: int, col5: int,
-                 direction: int, support: int = 2) -> EdgeSegment | None:
-    """Recompute one level-5 cell from its 2x2 child block of short edges.
-
-    Children must be collinear along the edge orientation; a count
-    threshold alone is not enough.
-    """
-    present = [
-        (dr, dc)
-        for dr in (0, 1) for dc in (0, 1)
-        if (2 * row5 + dr, 2 * col5 + dc, direction) in short_set
-    ]
-    if len(present) < support:
-        return None
-    cells = set(present)
-    for pair in _COLLINEAR_PAIRS[direction]:
-        if cells.issuperset(pair):
-            return EdgeSegment(5, row5, col5, direction, len(present))
-    return None
+    blocks = micro.directions.reshape(n6, 2, n6, 2).swapaxes(1, 2).reshape(n6, n6, 4)
+    counts = np.count_nonzero(blocks[..., None] == np.arange(8, dtype=np.int8), axis=2)
+    return _segments(p.base_level - 1, counts, counts >= config.short_support)
 
 
 def aggregate_long_edges(p: Pyramid, short: list[EdgeSegment],
                          config: PipelineConfig = PipelineConfig()) -> list[EdgeSegment]:
-    n5 = p.base.shape[0] // 4
-    level = p.base_level - 2
-    short_set = {(s.row, s.col, s.direction) for s in short}
-    segments = []
-    for row5 in range(n5):
-        for col5 in range(n5):
-            for d in range(8):
-                seg = long_edge_at(short_set, row5, col5, d, config.long_support)
-                if seg is not None:
-                    segments.append(EdgeSegment(level, seg.row, seg.col, d, seg.support_count))
-    return segments
+    """Long edges two levels above the base: a cell holds a direction when
+    enough of its four short-edge children carry it and two of those are
+    collinear along the edge orientation; a count threshold alone is not
+    enough."""
+    n6 = p.base.shape[0] // 2
+    n5 = n6 // 2
+    present = np.zeros((n6, n6, 8), dtype=bool)
+    cells = np.array([(s.row, s.col, s.direction) for s in short], dtype=np.intp)
+    present[tuple(cells.reshape(-1, 3).T)] = True
+    blocks = present.reshape(n5, 2, n5, 2, 8)   # (row5, dr, col5, dc, direction)
+    counts = blocks.sum(axis=(1, 3))
+    collinear = np.zeros((n5, n5, 8), dtype=bool)
+    for d, pairs in _COLLINEAR_PAIRS.items():
+        for (r0, c0), (r1, c1) in pairs:
+            collinear[..., d] |= blocks[:, r0, :, c0, d] & blocks[:, r1, :, c1, d]
+    return _segments(p.base_level - 2, counts, (counts >= config.long_support) & collinear)
 
 
 @dataclass(frozen=True)
@@ -531,14 +509,12 @@ def building_boundary(long_edges: list[EdgeSegment], cands: list[CandidateArea],
             c.non_window = config.non_window_support
 
 
-def stage_b_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource,
-                    config: PipelineConfig = PipelineConfig()) -> None:
+def stage_b_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:
     for c in cands:
         c.bel_b = stage_b_belief(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks)
 
 
-def stage_c_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource,
-                    config: PipelineConfig = PipelineConfig()) -> None:
+def stage_c_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:
     for c in cands:
         c.bel_c = stage_c_belief(c.bel_a, c.non_window, c.v_sibl, c.h_sibl, sibling_ks)
 
@@ -567,7 +543,7 @@ def run_pipeline(image: np.ndarray,
     cands = find_window_candidates(long_edges, config)
     stage_a_beliefs(cands, p, micro, window_ks, config)
     sibling_search(cands, config)
-    stage_b_beliefs(cands, sibling_ks, config)
+    stage_b_beliefs(cands, sibling_ks)
     building_boundary(long_edges, cands, config)
-    stage_c_beliefs(cands, sibling_ks, config)
+    stage_c_beliefs(cands, sibling_ks)
     return PipelineResult(p, micro, short, long_edges, cands)

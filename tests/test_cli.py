@@ -197,6 +197,19 @@ class TestPipeline:
                      "--knowledge", str(sibling)]) == 0
         assert capsys.readouterr().out == out_a
 
+    @pytest.mark.parametrize("text, message", [
+        ("P2\n8 8\n255\n99999999999999999999999" + " 0" * 63 + "\n",
+         "sample outside [0, maxval]"),
+        ("P2\n0 0\n255\n", "side 0 must be a power of two >= 8"),
+    ], ids=["sample-beyond-int64", "empty"])
+    def test_bad_p2_image(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.pgm"
+        path.write_text(text)
+        assert main(["pipeline", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_image(self, tmp_path, capsys):
         assert main(["pipeline", str(tmp_path / "none.pgm")]) == 2
         assert "error:" in capsys.readouterr().err

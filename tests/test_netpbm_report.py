@@ -43,6 +43,13 @@ class TestReadPgm:
         with pytest.raises(TruncatedDataError):
             read_pgm(str(path))
 
+    @pytest.mark.parametrize("sample", ["256", "-1", "99999999999999999999999", "x7"])
+    def test_p2_bad_sample(self, tmp_path, sample):
+        path = tmp_path / "bad.pgm"
+        path.write_text(f"P2\n2 2\n255\n0 {sample} 0 0\n")
+        with pytest.raises(TruncatedDataError):
+            read_pgm(str(path))
+
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n4 x\n255\n" + bytes(16))

@@ -2,11 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
-from dsvision.errors import BadDimensionsError, InvalidParamsError, ParseError, RectOutOfBoundsError
+from dsvision.errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
+                             RectOutOfBoundsError)
 from dsvision.fixtures import synthetic_facade
 from dsvision.pyramid import (
+    _COLLINEAR_PAIRS,
     NO_EDGE,
     CandidateArea,
     EdgeField,
@@ -20,14 +23,67 @@ from dsvision.pyramid import (
     building_boundary,
     extract_micro_edges,
     find_window_candidates,
-    long_edge_at,
     measure_features,
     parse_config,
     run_pipeline,
-    short_edge_at,
     sibling_search,
 )
 from dsvision.report import format_report, report_from_result, write_overlay
+
+
+def short_edge_at(micro, row6, col6, direction, support=2):
+    """Scalar reference: one short-edge cell from its 2x2 child block."""
+    block = micro.directions[2 * row6:2 * row6 + 2, 2 * col6:2 * col6 + 2]
+    count = int(np.count_nonzero(block == direction))
+    if count >= support:
+        return EdgeSegment(6, row6, col6, direction, count)
+    return None
+
+
+def long_edge_at(short_set, row5, col5, direction, support=2):
+    """Scalar reference: one long-edge cell from its 2x2 child block of
+    short edges, which must hold a collinear pair."""
+    present = [
+        (dr, dc)
+        for dr in (0, 1) for dc in (0, 1)
+        if (2 * row5 + dr, 2 * col5 + dc, direction) in short_set
+    ]
+    if len(present) < support:
+        return None
+    cells = set(present)
+    for pair in _COLLINEAR_PAIRS[direction]:
+        if cells.issuperset(pair):
+            return EdgeSegment(5, row5, col5, direction, len(present))
+    return None
+
+
+def scalar_short_edges(micro, support):
+    n6 = micro.directions.shape[0] // 2
+    segments = (short_edge_at(micro, r, c, d, support)
+                for r in range(n6) for c in range(n6) for d in range(8))
+    return [s for s in segments if s is not None]
+
+
+def scalar_long_edges(short_set, n5, support):
+    segments = (long_edge_at(short_set, r, c, d, support)
+                for r in range(n5) for c in range(n5) for d in range(8))
+    return [s for s in segments if s is not None]
+
+
+def as_tuples(segments):
+    # the scalar references fix the level at 6 and 5; compare the rest, in order
+    return [(s.row, s.col, s.direction, s.support_count) for s in segments]
+
+
+def random_image(seed, side):
+    """Pixel noise or a blocky piecewise-constant image, whose block edges
+    line up into long straight runs."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        return rng.uniform(0, 255, size=(side, side))
+    cell = 1 << int(rng.integers(1, 4))
+    coarse = rng.choice([0.0, 255.0], size=(max(side // cell, 1),) * 2)
+    return np.kron(coarse, np.ones((cell, cell)))[:side, :side]
 
 
 def step_image(side=16, column=8, low=0.0, high=255.0):
@@ -56,6 +112,15 @@ class TestBuildPyramid:
             build_pyramid(np.zeros((4, 4)))
         with pytest.raises(BadDimensionsError):
             build_pyramid(np.zeros((16, 32)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, value):
+        image = np.zeros((16, 16))
+        image[3, 5] = value
+        with pytest.raises(OutOfRangeError):
+            build_pyramid(image)
+        with pytest.raises(OutOfRangeError):
+            run_pipeline(image)
 
     def test_parent_cells_average_children(self):
         rng = np.random.default_rng(5)
@@ -140,6 +205,24 @@ class TestAggregateShortEdges:
                     else:
                         assert listed[(row6, col6, d)] == seg.support_count
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 64, 128, 256]),
+           st.integers(1, 5), st.integers(1, 5), st.sampled_from([8.0, 32.0, 200.0]))
+    def test_vectorized_equals_scalar_reference(self, seed, side, short_support,
+                                                long_support, threshold):
+        config = PipelineConfig(edge_threshold=threshold, short_support=short_support,
+                                long_support=long_support)
+        p = build_pyramid(random_image(seed, side))
+        micro = extract_micro_edges(p, config)
+        short = aggregate_short_edges(p, micro, config)
+        assert as_tuples(short) == as_tuples(scalar_short_edges(micro, short_support))
+        assert all(s.level == p.base_level - 1 for s in short)
+        long_edges = aggregate_long_edges(p, short, config)
+        short_set = {(s.row, s.col, s.direction) for s in short}
+        n5 = p.base.shape[0] // 4
+        assert as_tuples(long_edges) == as_tuples(scalar_long_edges(short_set, n5, long_support))
+        assert all(s.level == p.base_level - 2 for s in long_edges)
+
 
 class TestAggregateLongEdges:
     def test_horizontally_adjacent_children(self):
@@ -159,6 +242,20 @@ class TestAggregateLongEdges:
         assert aggregate_long_edges(p, short) == [EdgeSegment(2, 1, 1, 0, 2)]
         short_row = [EdgeSegment(3, 2, 2, 0, 2), EdgeSegment(3, 2, 3, 0, 2)]
         assert aggregate_long_edges(p, short_row) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 64, 128]),
+           st.floats(0.0, 1.0), st.integers(1, 5))
+    def test_random_short_sets_match_scalar_reference(self, seed, side, density, support):
+        rng = np.random.default_rng(seed)
+        n6 = side // 2
+        present = rng.random((n6, n6, 8)) < density
+        cells = rng.permutation(np.argwhere(present))   # the list order must not matter
+        short = [EdgeSegment(6, int(r), int(c), int(d), 2) for r, c, d in cells]
+        p = build_pyramid(np.zeros((side, side)))
+        long_edges = aggregate_long_edges(p, short, PipelineConfig(long_support=support))
+        short_set = {(s.row, s.col, s.direction) for s in short}
+        assert as_tuples(long_edges) == as_tuples(scalar_long_edges(short_set, n6 // 2, support))
 
     def test_step_fixture_cascades_to_long_column(self):
         p = build_pyramid(step_image())
