@@ -22,7 +22,7 @@ from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, Pa
                      RectOutOfBoundsError)
 from .evidence import text_lines
 from .knowledge import KnowledgeSource
-from .stages import stage_a_belief, stage_b_belief, stage_c_belief
+from .stages import stage_a_belief, stage_b_belief, stage_c_belief, stage_c_conflict
 
 # direction convention: gradient angle quantized to multiples of 45 degrees;
 # d and d+4 are the same orientation with opposite contrast polarity
@@ -31,6 +31,10 @@ VERTICAL_GRADIENT = (2, 6)     # horizontal edge lines
 DIAGONAL = (1, 3, 5, 7)
 
 NO_EDGE = -1
+
+# the largest pixel magnitude accepted: block means and gradient sums of
+# such pixels stay far from overflow
+MAX_PIXEL = 1e300
 
 # cells of a 2x2 child block that are collinear along the edge orientation
 _COLLINEAR_PAIRS = {
@@ -71,8 +75,10 @@ class PipelineConfig:
                 raise InvalidParamsError(f"{key} = {getattr(self, key)} is not finite")
         if min(self.short_support, self.long_support) < 1:
             raise InvalidParamsError("short_support and long_support must be at least 1")
-        if min(self.pair_min_sep, self.sibling_tolerance, self.cluster_distance) < 0:
-            raise InvalidParamsError("separations and distances must be non-negative")
+        if min(self.sibling_tolerance, self.cluster_distance) < 0:
+            raise InvalidParamsError("sibling_tolerance and cluster_distance must be non-negative")
+        if self.pair_min_sep < 1:   # a zero separation spans a rect with no rows
+            raise InvalidParamsError("pair_min_sep must be at least 1")
         if self.pair_min_sep > self.pair_max_sep:
             raise InvalidParamsError(
                 f"pair_min_sep {self.pair_min_sep} exceeds pair_max_sep {self.pair_max_sep}")
@@ -152,8 +158,8 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
     side = image.shape[0]
     if side < 8 or side & (side - 1):
         raise BadDimensionsError(f"side {side} must be a power of two >= 8")
-    if not np.isfinite(image).all():
-        raise OutOfRangeError("image has a NaN or infinite pixel")
+    if not (np.abs(image) <= MAX_PIXEL).all():   # also NaN
+        raise OutOfRangeError(f"image has a NaN pixel or one beyond ±{MAX_PIXEL:g}")
     if side == 512:
         image = image.reshape(128, 4, 128, 4).mean(axis=(1, 3))
         side = 128
@@ -271,10 +277,6 @@ class Rect:
     def center(self) -> tuple[float, float]:
         return (self.top + self.height / 2.0, self.left + self.width / 2.0)
 
-    def contains(self, other: "Rect") -> bool:
-        return (self.top <= other.top and self.left <= other.left
-                and self.bottom >= other.bottom and self.right >= other.right)
-
 
 @dataclass
 class CandidateArea:
@@ -288,6 +290,7 @@ class CandidateArea:
     v_sibl: float = 0.0
     h_sibl: float = 0.0
     non_window: float = 0.0
+    conflict: float = 0.0   # stage C's combination conflict K
 
 
 @dataclass(frozen=True)
@@ -398,52 +401,78 @@ def find_window_candidates(long_edges: list[EdgeSegment],
             top = min(a.pixel_row, b.pixel_row)
             rects.append(Rect(top, lo * 4, sep, (hi - lo + 1) * 4))
     rects = sorted(set(rects), key=lambda r: (r.top, r.left, r.height, r.width))
-    kept = [
-        r for r in rects
-        if not any(o != r and r.contains(o) for o in rects)
-    ]
+    top, left, bottom, right = np.array([(r.top, r.left, r.bottom, r.right) for r in rects],
+                                        dtype=np.intp).reshape(-1, 4).T
+    # nests[i, j]: rect i contains rect j; the rects are distinct
+    nests = ((top[:, None] <= top) & (left[:, None] <= left)
+             & (bottom[:, None] >= bottom) & (right[:, None] >= right))
+    np.fill_diagonal(nests, False)
+    kept = [r for r, outer in zip(rects, nests.any(axis=1).tolist()) if not outer]
     return [CandidateArea(i + 1, r) for i, r in enumerate(kept)]
 
 
-def measure_features(p: Pyramid, c: CandidateArea, micro: EdgeField) -> FeatureMeasurements:
-    """Shape, texture and boundary measurements over the candidate rect."""
+def _box_sums(mask: np.ndarray, top, left, bottom, right) -> np.ndarray:
+    """Count of true cells of ``mask`` inside each [top, bottom) x
+    [left, right) box, from one summed-area table."""
+    n = mask.shape[0]
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+    return table[bottom, right] - table[top, right] - table[bottom, left] + table[top, left]
+
+
+def measure_candidates(p: Pyramid, cands: list[CandidateArea],
+                       micro: EdgeField) -> list[FeatureMeasurements]:
+    """Shape, texture and boundary measurements over each candidate rect.
+
+    Edge counts come from summed-area tables of the axis-aligned and
+    diagonal micro-edges.  A side's coverage is the fraction of the rect's
+    rows holding a vertical micro-edge within one pixel of the side column,
+    read from per-column running counts of that three-column test.
+    """
     n = p.base.shape[0]
-    r = c.rect
-    if r.top < 0 or r.left < 0 or r.bottom > n or r.right > n:
-        raise RectOutOfBoundsError(f"rect {r} outside {n}x{n} base")
-    interior = micro.directions[r.top:r.bottom, r.left:r.right]
-    edge_count = int(np.count_nonzero(interior != NO_EDGE))
-    hv = int(np.count_nonzero(np.isin(interior, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)))
-    diag = int(np.count_nonzero(np.isin(interior, DIAGONAL)))
-    hv_d = math.inf if diag == 0 else hv / diag
-    return FeatureMeasurements(
-        elongation=max(r.height, r.width) / min(r.height, r.width),
-        edgedness=edge_count / (r.height * r.width),
-        hv_d=hv_d,
-        left_boundary=_side_coverage(micro, r, r.left),
-        right_boundary=_side_coverage(micro, r, r.right - 1),
+    for c in cands:
+        r = c.rect
+        if r.top < 0 or r.left < 0 or r.bottom > n or r.right > n or min(r.height, r.width) < 1:
+            raise RectOutOfBoundsError(f"rect {r} empty or outside {n}x{n} base")
+    top, left, bottom, right = np.array(
+        [(c.rect.top, c.rect.left, c.rect.bottom, c.rect.right) for c in cands],
+        dtype=np.intp).reshape(-1, 4).T
+    d = micro.directions
+    hv = _box_sums(np.isin(d, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT), top, left, bottom, right)
+    diag = _box_sums(np.isin(d, DIAGONAL), top, left, bottom, right)
+    vertical = np.isin(d, HORIZONTAL_GRADIENT)
+    near = vertical.copy()
+    near[:, 1:] |= vertical[:, :-1]
+    near[:, :-1] |= vertical[:, 1:]
+    covered = np.zeros((n + 1, n), dtype=np.int64)   # covered[r, col]: rows above r
+    covered[1:] = near.cumsum(axis=0)
+    height, width = bottom - top, right - left
+    columns = (
+        np.maximum(height, width) / np.minimum(height, width),
+        (hv + diag) / (height * width),
+        np.divide(hv, diag, out=np.full(len(hv), math.inf), where=diag > 0),
+        (covered[bottom, left] - covered[top, left]) / height,
+        (covered[bottom, right - 1] - covered[top, right - 1]) / height,
     )
+    return [FeatureMeasurements(*values) for values in zip(*(col.tolist() for col in columns))]
 
 
-def _side_coverage(micro: EdgeField, r: Rect, col: int) -> float:
-    """Fraction of the rect's side rows holding a vertical micro-edge
-    within one pixel of the side column."""
-    n = micro.directions.shape[0]
-    lo, hi = max(0, col - 1), min(n, col + 2)
-    band = micro.directions[r.top:r.bottom, lo:hi]
-    vertical = np.isin(band, HORIZONTAL_GRADIENT)
-    covered = int(np.count_nonzero(vertical.any(axis=1)))
-    return covered / r.height
+def _columns(cands: list[CandidateArea], *names: str) -> np.ndarray:
+    """The named fields of the candidates as float rows, one per name."""
+    values = [[getattr(c, name) for name in names] for c in cands]
+    return np.array(values, dtype=np.float64).reshape(-1, len(names)).T
 
 
 def stage_a_beliefs(cands: list[CandidateArea], p: Pyramid, micro: EdgeField,
                     window_ks: KnowledgeSource,
                     config: PipelineConfig = PipelineConfig()) -> None:
     """Measure each candidate and verify the feature evidence."""
-    for c in cands:
-        c.measurements = measure_features(p, c, micro)
-        c.supports = feature_supports(c.measurements, config.tables, config.quality_weight)
-        c.bel_a = stage_a_belief(*c.supports, window_ks=window_ks)
+    for c, m in zip(cands, measure_candidates(p, cands, micro)):
+        c.measurements = m
+        c.supports = feature_supports(m, config.tables, config.quality_weight)
+    supports = np.array([c.supports for c in cands], dtype=np.float64).reshape(-1, 4).T
+    for c, bel in zip(cands, stage_a_belief(*supports, window_ks=window_ks).tolist()):
+        c.bel_a = bel
 
 
 def sibling_search(cands: list[CandidateArea],
@@ -510,13 +539,18 @@ def building_boundary(long_edges: list[EdgeSegment], cands: list[CandidateArea],
 
 
 def stage_b_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:
-    for c in cands:
-        c.bel_b = stage_b_belief(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks)
+    window, v_sibl, h_sibl = _columns(cands, "bel_a", "v_sibl", "h_sibl")
+    for c, bel in zip(cands, stage_b_belief(window, v_sibl, h_sibl, sibling_ks).tolist()):
+        c.bel_b = bel
 
 
 def stage_c_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:
-    for c in cands:
-        c.bel_c = stage_c_belief(c.bel_a, c.non_window, c.v_sibl, c.h_sibl, sibling_ks)
+    window, non_window, v_sibl, h_sibl = _columns(cands, "bel_a", "non_window",
+                                                  "v_sibl", "h_sibl")
+    bel_c = stage_c_belief(window, non_window, v_sibl, h_sibl, sibling_ks)
+    conflict = stage_c_conflict(window, non_window)
+    for c, bel, k in zip(cands, bel_c.tolist(), conflict.tolist()):
+        c.bel_c, c.conflict = bel, k
 
 
 @dataclass(frozen=True)

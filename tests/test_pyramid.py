@@ -15,15 +15,17 @@ from dsvision.pyramid import (
     EdgeField,
     EdgeSegment,
     PipelineConfig,
+    VERTICAL_GRADIENT,
     Rect,
     _components,
+    _edge_lines,
     aggregate_long_edges,
     aggregate_short_edges,
     build_pyramid,
     building_boundary,
     extract_micro_edges,
     find_window_candidates,
-    measure_features,
+    measure_candidates,
     parse_config,
     run_pipeline,
     sibling_search,
@@ -68,6 +70,28 @@ def scalar_long_edges(short_set, n5, support):
     segments = (long_edge_at(short_set, r, c, d, support)
                 for r in range(n5) for c in range(n5) for d in range(8))
     return [s for s in segments if s is not None]
+
+
+def ref_find_window_candidates(long_edges, config):
+    """Scalar reference: every opposite-polarity line pair in range, then a
+    pairwise scan that drops each rect holding another."""
+    lines = _edge_lines(long_edges, VERTICAL_GRADIENT)
+    rects = set()
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            sep = abs(b.pixel_row - a.pixel_row)
+            lo, hi = max(a.col_start, b.col_start), min(a.col_end, b.col_end)
+            if (b.direction == (a.direction + 4) % 8
+                    and config.pair_min_sep <= sep <= config.pair_max_sep and lo <= hi):
+                rects.add(Rect(min(a.pixel_row, b.pixel_row), lo * 4, sep, (hi - lo + 1) * 4))
+
+    def contains(r, o):
+        return (r.top <= o.top and r.left <= o.left
+                and r.bottom >= o.bottom and r.right >= o.right)
+
+    rects = sorted(rects, key=lambda r: (r.top, r.left, r.height, r.width))
+    kept = [r for r in rects if not any(o != r and contains(r, o) for o in rects)]
+    return list(enumerate(kept, 1))
 
 
 def as_tuples(segments):
@@ -121,6 +145,16 @@ class TestBuildPyramid:
             build_pyramid(image)
         with pytest.raises(OutOfRangeError):
             run_pipeline(image)
+
+    def test_huge_pixel_rejected(self):
+        # block means of such pixels overflow to inf
+        with pytest.raises(OutOfRangeError):
+            build_pyramid(step_image(high=1e308))
+        with pytest.raises(OutOfRangeError):
+            run_pipeline(step_image(low=-1e301))
+        for side in (16, 512):   # the largest magnitude allowed runs without a warning
+            result = run_pipeline(step_image(side, side // 2, low=-1e300, high=1e300))
+            assert np.isfinite(result.micro.magnitudes).all()
 
     def test_parent_cells_average_children(self):
         rng = np.random.default_rng(5)
@@ -326,6 +360,18 @@ class TestFindWindowCandidates:
         heights = sorted(c.rect.height for c in cands)
         assert heights == [8]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.08), st.integers(1, 12))
+    def test_random_edges_match_scalar_reference(self, seed, density, min_sep):
+        rng = np.random.default_rng(seed)
+        present = rng.random((16, 32, 2)) < density
+        long_edges = [EdgeSegment(5, int(r), int(c), (2, 6)[d], 2)
+                      for r, c, d in np.argwhere(present)]
+        config = PipelineConfig(pair_min_sep=min_sep)
+        cands = find_window_candidates(long_edges, config)
+        assert ([(c.id, c.rect) for c in cands]
+                == ref_find_window_candidates(long_edges, config))
+
     def test_facade_covers_all_planted_rectangles(self):
         fx = synthetic_facade()
         result = run_pipeline(fx.image)
@@ -346,22 +392,28 @@ class TestMeasureFeatures:
     def test_elongation_arithmetic(self):
         p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        c = CandidateArea(1, Rect(4, 4, 20, 5))
-        m = measure_features(p, c, micro)
+        [m] = measure_candidates(p, [CandidateArea(1, Rect(4, 4, 20, 5))], micro)
         assert m.elongation == pytest.approx(4.0)
 
     def test_empty_interior(self):
         p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        m = measure_features(p, CandidateArea(1, Rect(4, 4, 8, 8)), micro)
+        [m] = measure_candidates(p, [CandidateArea(1, Rect(4, 4, 8, 8))], micro)
         assert m.edgedness == 0.0
         assert m.hv_d == np.inf
+
+    def test_no_candidates(self):
+        p = build_pyramid(np.zeros((16, 16)))
+        assert measure_candidates(p, [], edge_field(16, [])) == []
 
     def test_out_of_bounds(self):
         p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [])
-        with pytest.raises(RectOutOfBoundsError):
-            measure_features(p, CandidateArea(1, Rect(10, 10, 8, 8)), micro)
+        inside = CandidateArea(1, Rect(0, 0, 4, 4))
+        for rect in (Rect(10, 10, 8, 8), Rect(-1, 0, 4, 4), Rect(0, -1, 4, 4),
+                     Rect(4, 4, 0, 4), Rect(4, 4, 4, 0)):   # the last two are empty
+            with pytest.raises(RectOutOfBoundsError):
+                measure_candidates(p, [inside, CandidateArea(2, rect)], micro)
 
     def test_painted_window_is_axis_dominated(self):
         fx = synthetic_facade()
@@ -499,6 +551,7 @@ class TestParseConfig:
         "short_support = 0",
         "long_support = -1",
         "pair_min_sep = -4",
+        "pair_min_sep = 0",              # a zero separation spans no area
         "sibling_tolerance = -1",
         "cluster_distance = -2",
         "boundary_bands = 0.75:1.5",

@@ -1,0 +1,291 @@
+"""The batched staged beliefs and candidate measurements against scalar
+references.
+
+The references are the per-candidate clause-algebra chain (``combine_all``
+then ``verify``) and the per-rect measurement loops that the pipeline used
+before both were batched.  The batched results must equal them bit for bit,
+and the beliefs must agree with the brute-force world-set ``oracle``.
+"""
+
+import hashlib
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import FACADE_REPORT_SHA256, random_knowledge
+from dsvision import evidence, knowledge, pyramid, stages
+from dsvision.assessment import DEFAULT_TABLES, FeatureMeasurements
+from dsvision.errors import NormalizationError, TotalConflictError, UnknownAtomError
+from dsvision.evidence import Clause, combine_all, make_frame, simple_support
+from dsvision.fixtures import synthetic_facade
+from dsvision.knowledge import KnowledgeSource, verify
+from dsvision.oracle import OracleMass, atom_worlds, oracle_combine, oracle_verify, theta_worlds
+from dsvision.pyramid import (DIAGONAL, HORIZONTAL_GRADIENT, NO_EDGE, VERTICAL_GRADIENT,
+                              CandidateArea, EdgeField, Rect, build_pyramid, measure_candidates,
+                              run_pipeline)
+from dsvision.report import format_report, report_from_result
+from dsvision.stages import (FEATURE_ATOMS, SIBLING_ATOMS, sibling_knowledge, stage_a_belief,
+                             stage_b_belief, stage_c_belief, stage_c_conflict, window_knowledge)
+from test_oracle import knowledge_to_oracle
+
+# --- scalar references ---
+
+
+def _supports(frame, values):
+    return [simple_support(frame, Clause.conjunction(frame, [atom]), s)
+            for atom, s in values.items()]
+
+
+def ref_stage_a(elong, text, lt, rt, ks):
+    evidence_ = combine_all(_supports(ks.frame, {
+        "elong": elong, "text": text, "lt-bound": lt, "rt-bound": rt,
+    })).result
+    return verify(evidence_, ks).bel
+
+
+def ref_stage_b(window, v_sibl, h_sibl, ks):
+    evidence_ = combine_all(_supports(ks.frame, {
+        "window": window, "v-sibl": v_sibl, "h-sibl": h_sibl,
+    })).result
+    return verify(evidence_, ks).bel
+
+
+def ref_stage_c(window, non_window, v_sibl, h_sibl, ks):
+    """Stage C's belief and the conflict ``combine_all`` reports."""
+    frame = ks.frame
+    ms = _supports(frame, {"window": window, "v-sibl": v_sibl, "h-sibl": h_sibl})
+    ms.insert(1, simple_support(frame, Clause.conjunction(frame, ["!window"]), non_window))
+    outcome = combine_all(ms)
+    return verify(outcome.result, ks).bel, outcome.conflict
+
+
+def ref_measure_features(p, c, micro):
+    r = c.rect
+    interior = micro.directions[r.top:r.bottom, r.left:r.right]
+    edge_count = int(np.count_nonzero(interior != NO_EDGE))
+    hv = int(np.count_nonzero(np.isin(interior, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)))
+    diag = int(np.count_nonzero(np.isin(interior, DIAGONAL)))
+    return FeatureMeasurements(
+        elongation=max(r.height, r.width) / min(r.height, r.width),
+        edgedness=edge_count / (r.height * r.width),
+        hv_d=math.inf if diag == 0 else hv / diag,
+        left_boundary=ref_side_coverage(micro, r, r.left),
+        right_boundary=ref_side_coverage(micro, r, r.right - 1),
+    )
+
+
+def ref_side_coverage(micro, r, col):
+    """Fraction of the rect's rows with a vertical micro-edge within one
+    pixel of the side column."""
+    n = micro.directions.shape[0]
+    band = micro.directions[r.top:r.bottom, max(0, col - 1):min(n, col + 2)]
+    covered = int(np.count_nonzero(np.isin(band, HORIZONTAL_GRADIENT).any(axis=1)))
+    return covered / r.height
+
+
+# --- oracle ---
+
+
+def _oracle_support(frame, atom, s, positive=True):
+    return OracleMass(frame, {atom_worlds(frame, atom, positive): s,
+                              theta_worlds(frame): 1.0 - s})
+
+
+def _oracle_verify(ks, supports):
+    """Fold the (atom, positive, s) simple supports over world sets, then
+    verify against the knowledge source."""
+    frame = ks.frame
+    ms = [_oracle_support(frame, atom, s, positive) for atom, positive, s in supports]
+    acc = ms[0]
+    for m in ms[1:]:
+        acc, _ = oracle_combine(acc, m)
+    return oracle_verify(acc, knowledge_to_oracle(ks))
+
+
+def oracle_a(elong, text, lt, rt, ks):
+    supports = zip(FEATURE_ATOMS, (elong, text, lt, rt))
+    return _oracle_verify(ks, [(atom, True, s) for atom, s in supports])
+
+
+def oracle_b(window, v_sibl, h_sibl, ks):
+    supports = zip(SIBLING_ATOMS, (window, v_sibl, h_sibl))
+    return _oracle_verify(ks, [(atom, True, s) for atom, s in supports])
+
+
+def oracle_c(window, non_window, v_sibl, h_sibl, ks):
+    return _oracle_verify(ks, [("window", True, window), ("window", False, non_window),
+                               ("v-sibl", True, v_sibl), ("h-sibl", True, h_sibl)])
+
+
+def check_stages(rows_a, rows_c, window_ks, sibling_ks):
+    """Batched stage A on ``rows_a`` and stages B and C on ``rows_c``
+    (window, non_window, v_sibl, h_sibl): equal to the references, within
+    1e-12 of the oracle, and equal to their own one-row calls."""
+    columns = np.array(rows_a, dtype=np.float64).reshape(-1, 4).T
+    for row, bel in zip(rows_a, stage_a_belief(*columns, window_ks=window_ks).tolist()):
+        assert bel == ref_stage_a(*row, window_ks), row
+        assert abs(bel - oracle_a(*row, window_ks)) <= 1e-12, row
+        assert stage_a_belief(*row, window_ks=window_ks) == bel
+    a, nw, v, h = np.array(rows_c, dtype=np.float64).reshape(-1, 4).T
+    bel_b = stage_b_belief(a, v, h, sibling_ks).tolist()
+    bel_c = stage_c_belief(a, nw, v, h, sibling_ks).tolist()
+    conflict = stage_c_conflict(a, nw).tolist()
+    for row, b, c, k in zip(rows_c, bel_b, bel_c, conflict):
+        window, non_window, v_sibl, h_sibl = row
+        assert b == ref_stage_b(window, v_sibl, h_sibl, sibling_ks), row
+        assert (c, k) == ref_stage_c(*row, sibling_ks), row
+        assert abs(b - oracle_b(window, v_sibl, h_sibl, sibling_ks)) <= 1e-12, row
+        assert abs(c - oracle_c(*row, sibling_ks)) <= 1e-12, row
+        assert stage_b_belief(window, v_sibl, h_sibl, sibling_ks) == b
+        assert stage_c_belief(*row, sibling_ks) == c
+
+
+def table_values(bands):
+    return sorted({value for _, value in bands} | {0.0})
+
+
+class TestBatchedStages:
+    def test_default_table_combinations(self):
+        """Every combination of default-table supports, then every stage-A
+        result with siblings in {0, 0.6} and non-window in {0, 0.5}."""
+        tables = DEFAULT_TABLES
+        texture = sorted({value for _, value in tables.hv_d_bands}
+                         | {tables.low_edgedness_belief, 0.0})
+        boundary = table_values(tables.boundary_bands)
+        rows_a = list(itertools.product(table_values(tables.elongation_bands), texture,
+                                        boundary, boundary))
+        assert len(rows_a) == 144
+        bel_a = stage_a_belief(*np.array(rows_a).T).tolist()
+        rows_c = list(itertools.product(bel_a, (0.0, 0.5), (0.0, 0.6), (0.0, 0.6)))
+        check_stages(rows_a, rows_c, window_knowledge(), sibling_knowledge())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=8),
+           st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=8))
+    def test_random_supports(self, rows_a, rows_c):
+        # stage C raises on a row whose conflict is total, as combine does
+        rows_c = [row for row in rows_c if row[0] * row[1] < 1.0 - evidence.TOTAL_CONFLICT_TOL]
+        check_stages(rows_a, rows_c, window_knowledge(), sibling_knowledge())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_knowledge_sources(self, seed):
+        """Knowledge over frames whose atoms are permuted and padded with
+        atoms the evidence never mentions."""
+        rng = random.Random(seed)
+        extra = [f"x{i}" for i in range(rng.randint(0, 2))]
+
+        def frame(atoms):
+            atoms = list(atoms) + extra
+            rng.shuffle(atoms)
+            return make_frame(atoms)
+
+        window_ks = random_knowledge(rng, frame(FEATURE_ATOMS))
+        sibling_ks = random_knowledge(rng, frame(SIBLING_ATOMS))
+        edge = (0.0, 1.0, 1e-300)
+        rows_a = [tuple(rng.choice(edge) if rng.random() < 0.2 else rng.random()
+                        for _ in range(4)) for _ in range(20)]
+        rows_c = [(rng.random(), rng.choice((0.0, 0.5, rng.random())), rng.choice(edge),
+                   rng.random()) for _ in range(20)]
+        check_stages(rows_a, rows_c, window_ks, sibling_ks)
+
+    def test_scalar_call_returns_float(self):
+        assert type(stage_a_belief(0.5, 0.4, 0.6, 0.6)) is float
+        assert type(stage_c_belief(0.5, 0.5, 0.6, 0.0)) is float
+        assert type(stage_c_conflict(0.5, 0.5)) is float
+
+    def test_empty_batch(self):
+        empty = np.zeros(0)
+        assert stage_a_belief(empty, empty, empty, empty).shape == (0,)
+        assert stage_b_belief(empty, empty, empty).shape == (0,)
+        assert stage_c_belief(empty, empty, empty, empty).shape == (0,)
+        p = build_pyramid(np.zeros((16, 16)))
+        micro = EdgeField(np.full((16, 16), NO_EDGE, dtype=np.int8), np.zeros((16, 16)))
+        pyramid.stage_a_beliefs([], p, micro, window_knowledge())
+        pyramid.stage_b_beliefs([], sibling_knowledge())
+        pyramid.stage_c_beliefs([], sibling_knowledge())
+
+    def test_total_conflict(self):
+        with pytest.raises(TotalConflictError):
+            stage_c_belief(1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(TotalConflictError):
+            stage_c_belief([0.5, 1.0], [0.5, 1.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(TotalConflictError):
+            stage_c_conflict(1.0, 1.0)
+
+    @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+    def test_support_outside_unit_interval(self, s):
+        with pytest.raises(NormalizationError):
+            stage_a_belief([0.5, 0.5], [0.4, s], 0.6, 0.6)
+        with pytest.raises(NormalizationError):
+            stage_c_belief(0.5, s, 0.0, 0.0)
+
+    def test_knowledge_frame_missing_an_atom(self):
+        short = make_frame(["elong", "text", "lt-bound"])
+        ks = KnowledgeSource.build("window", short, {"elong": 0.5, "THETA": 0.5})
+        with pytest.raises(UnknownAtomError):
+            stage_a_belief(0.5, 0.4, 0.6, 0.6, window_ks=ks)
+        no_window = make_frame(["v-sibl", "h-sibl"])
+        ks = KnowledgeSource.build("window", no_window, {"v-sibl": 1.0})
+        with pytest.raises(UnknownAtomError):
+            stage_c_belief(0.5, 0.5, 0.6, 0.6, ks)
+        with pytest.raises(UnknownAtomError):
+            stage_b_belief(0.5, 0.6, 0.6, ks)
+
+
+class TestPipelineBeliefs:
+    def test_facade_candidates_match_references(self):
+        window_ks, sibling_ks = window_knowledge(), sibling_knowledge()
+        result = run_pipeline(synthetic_facade().image)
+        assert any(c.conflict > 0 for c in result.candidates)
+        for c in result.candidates:
+            assert c.bel_a == ref_stage_a(*c.supports, window_ks)
+            assert c.bel_b == ref_stage_b(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks)
+            assert (c.bel_c, c.conflict) == ref_stage_c(c.bel_a, c.non_window, c.v_sibl,
+                                                        c.h_sibl, sibling_ks)
+
+    def test_no_clause_algebra_on_the_pipeline_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("clause algebra called on the pipeline path")
+
+        for module in (evidence, knowledge, stages, pyramid):
+            for name in ("combine", "combine_all", "verify"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        result = run_pipeline(synthetic_facade().image)
+        report = format_report(report_from_result(result)).encode()
+        assert hashlib.sha256(report).hexdigest() == FACADE_REPORT_SHA256
+
+
+def random_edge_field(rng, side):
+    directions = rng.integers(-1, 8, size=(side, side)).astype(np.int8)
+    directions[rng.random((side, side)) < rng.random()] = NO_EDGE
+    return EdgeField(directions, np.zeros((side, side)))
+
+
+class TestBatchedMeasurements:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 128]))
+    def test_random_fields_and_rects(self, seed, side):
+        rng = np.random.default_rng(seed)
+        micro = random_edge_field(rng, side)
+        p = build_pyramid(np.zeros((side, side)))
+        rects = []
+        for _ in range(int(rng.integers(1, 30))):
+            top, left = (int(v) for v in rng.integers(0, side, size=2))
+            height = int(rng.integers(1, side - top + 1))
+            width = int(rng.integers(1, side - left + 1))
+            rects.append(Rect(top, left, height, width))
+        # rects against the first and the last column, and the whole base
+        rects += [Rect(0, 0, side, 1), Rect(1, side - 1, side - 1, 1),
+                  Rect(0, 0, side, side), Rect(2, side - 3, 3, 3)]
+        cands = [CandidateArea(i + 1, r) for i, r in enumerate(rects)]
+        got = measure_candidates(p, cands, micro)
+        assert got == [ref_measure_features(p, c, micro) for c in cands]
+
+    def test_facade_candidates(self):
+        result = run_pipeline(synthetic_facade().image)
+        for c in result.candidates:
+            assert c.measurements == ref_measure_features(result.pyramid, c, result.micro)
