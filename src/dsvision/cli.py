@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import fixtures
@@ -137,8 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing reads the parser and never changes it, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DSVisionError as exc:

@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 
+_P2_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+
 
 def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
     """Read `count` whitespace-separated integer tokens, skipping comments.
@@ -36,6 +38,21 @@ def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i + 1
 
 
+def _p2_samples(body: bytes) -> np.ndarray:
+    """The samples of a P2 body: ASCII digit runs separated by whitespace.
+
+    Any other byte, anywhere in the body, is an error, so a sign, a digit
+    separator, a comment or trailing text never reaches the parse.  The
+    whitespace bytes are those of ``bytes.split()``.
+    """
+    if body.translate(None, _P2_BYTES):
+        raise TruncatedDataError("non-numeric sample in P2 data")
+    if not body or body.isspace():
+        # fromstring reads a whitespace-only string as one phantom 0
+        return np.empty(0, dtype=np.int64)
+    return np.fromstring(body, dtype=np.int64, sep=" ")
+
+
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) or ASCII (P2) PGM with maxval <= 255."""
     with open(path, "rb") as fh:
@@ -50,27 +67,17 @@ def read_pgm(path: str) -> np.ndarray:
         raise CorruptHeaderError(f"bad maxval {maxval}")
     offset += 2
     if magic == b"P5":
-        pixels = np.frombuffer(data, dtype=np.uint8, offset=offset)
-        if pixels.size < width * height:
-            raise TruncatedDataError(
-                f"expected {width * height} pixels, got {pixels.size}")
-        pixels = pixels[:width * height]
+        pixels, unit = np.frombuffer(data, dtype=np.uint8, offset=offset), "pixels"
     else:
-        fields = data[offset:].split()
-        if len(fields) < width * height:
-            raise TruncatedDataError(
-                f"expected {width * height} samples, got {len(fields)}")
-        try:
-            pixels = np.fromiter(map(int, fields[:width * height]), dtype=np.int64,
-                                 count=width * height)
-        except ValueError:
-            raise TruncatedDataError("non-numeric sample in P2 data") from None
-        except OverflowError:
-            raise TruncatedDataError("sample outside [0, maxval]") from None
-        if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
-            raise TruncatedDataError("sample outside [0, maxval]")
-        pixels = pixels.astype(np.uint8)
-    return pixels.reshape(height, width)
+        pixels, unit = _p2_samples(data[offset:]), "samples"
+    if pixels.size < width * height:
+        raise TruncatedDataError(f"expected {width * height} {unit}, got {pixels.size}")
+    pixels = pixels[:width * height]
+    # a P5 byte is at most 255; a P2 token has no sign, and one beyond int64
+    # saturates to its maximum, so only the top of the range can be broken
+    if pixels.size and (magic == b"P2" or maxval < 255) and pixels.max() > maxval:
+        raise TruncatedDataError("sample outside [0, maxval]")
+    return pixels.astype(np.uint8, copy=False).reshape(height, width)
 
 
 def write_pgm(image: np.ndarray, path: str) -> None:

@@ -21,6 +21,7 @@ only to within rounding, and that shows in the printed third decimal.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,6 +82,26 @@ def _simple(ks: KnowledgeSource, atom: str, s: np.ndarray):
     return [(0, 0), (1 << ks.frame.index(atom), 0)], np.stack([1.0 - s, s], axis=1)
 
 
+@functools.lru_cache(maxsize=32)
+def _subset_pairs(ks: KnowledgeSource, cubes: tuple[tuple[int, int], ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The (cube index, knowledge mass) of every pair with the cube inside
+    the focal, in cube then focal order.  They depend only on the knowledge
+    source and the cubes, so they are worked out once for each; the arrays
+    are read-only, as every later call shares them."""
+    index, weight = [], []
+    for i, (pos, neg) in enumerate(cubes):
+        cube = Clause(ks.frame, CONJUNCTION, pos, neg)
+        for focal, mass in ks.focals:
+            if clause_subset(cube, focal):
+                index.append(i)
+                weight.append(mass)
+    arrays = np.array(index, dtype=np.intp), np.array(weight, dtype=np.float64)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _verify(ks: KnowledgeSource, factors: list[tuple[list[tuple[int, int]], np.ndarray]]
             ) -> np.ndarray:
     """Bel of the knowledge source's hypothesis per row, for evidence that
@@ -98,14 +119,8 @@ def _verify(ks: KnowledgeSource, factors: list[tuple[list[tuple[int, int]], np.n
     for focals, factor in factors:
         cubes = [(pos | p, neg | q) for p, q in focals for pos, neg in cubes]
         masses = (masses[:, None, :] * factor[:, :, None]).reshape(len(masses), len(cubes))
-    index, weight = [], []
-    for i, (pos, neg) in enumerate(cubes):
-        cube = Clause(ks.frame, CONJUNCTION, pos, neg)
-        for focal, mass in ks.focals:
-            if clause_subset(cube, focal):
-                index.append(i)
-                weight.append(mass)
-    terms = masses[:, np.array(index, dtype=np.intp)] * np.array(weight, dtype=np.float64)
+    index, weight = _subset_pairs(ks, tuple(cubes))
+    terms = masses[:, index] * weight
     return np.array([math.fsum(row) for row in terms.tolist()], dtype=np.float64)
 
 

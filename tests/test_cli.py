@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsvision.cli import main
+from dsvision.cli import build_parser, main
 from dsvision.fixtures import synthetic_facade
 from dsvision.netpbm import write_pgm
 
@@ -41,6 +41,21 @@ def facade_pgm(tmp_path):
     path = tmp_path / "facade.pgm"
     write_pgm(synthetic_facade().image, str(path))
     return str(path)
+
+
+class TestParser:
+    def test_reuse_keeps_help_errors_and_results(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == build_parser().format_help()
+            with pytest.raises(SystemExit) as exc:
+                main(["pipeline", "img.pgm", "--threshold", "high"])
+            assert exc.value.code == 2
+            assert "argument --threshold: invalid float value: 'high'" in capsys.readouterr().err
+            assert main(["shutter"]) == 0
+            assert capsys.readouterr().out == "Bel(shutter) = 0.443\nBel(THETA) = 0.557\n"
 
 
 class TestCombine:

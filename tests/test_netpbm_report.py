@@ -1,11 +1,73 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsvision.errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 from dsvision.fixtures import synthetic_facade
 from dsvision.netpbm import read_pgm, write_pgm, write_ppm
 from dsvision.pyramid import CandidateArea, Rect
 from dsvision.report import ReportRow, format_report, write_overlay
+
+
+WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def ref_p2_pixels(body: bytes, width: int, height: int, maxval: int) -> np.ndarray:
+    """The reference P2 sample parse: ``bytes.split()`` and one ``int()``
+    per needed sample, the rest of the body unread."""
+    fields = body.split()
+    if len(fields) < width * height:
+        raise TruncatedDataError(f"expected {width * height} samples, got {len(fields)}")
+    try:
+        pixels = np.fromiter(map(int, fields[:width * height]), dtype=np.int64,
+                             count=width * height)
+    except ValueError:
+        raise TruncatedDataError("non-numeric sample in P2 data") from None
+    except OverflowError:
+        raise TruncatedDataError("sample outside [0, maxval]") from None
+    if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
+        raise TruncatedDataError("sample outside [0, maxval]")
+    return pixels.astype(np.uint8).reshape(height, width)
+
+
+def write_p2(path, width, height, maxval, body: bytes) -> str:
+    path.write_bytes(f"P2\n{width} {height}\n{maxval}\n".encode() + body)
+    return str(path)
+
+
+def outcome(read):
+    """The array a reader returns, or the class and message it raises."""
+    try:
+        return read()
+    except TruncatedDataError as exc:
+        return type(exc), str(exc)
+
+
+gaps = st.lists(st.sampled_from([bytes([b]) for b in WHITESPACE]),
+                min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def p2_files(draw):
+    """A P2 size and maxval with a body of 0 to size + 3 digit tokens, most
+    near the size, joined and wrapped by runs of the six whitespace bytes.
+    The tokens are in range with leading zeros, or in half the bodies a
+    mix of those and runs of 1-25 digits."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    maxval = draw(st.integers(1, 255))
+    in_range = st.builds(lambda zeros, v: b"0" * zeros + str(v).encode(),
+                         st.integers(0, 3), st.integers(0, maxval))
+    digits = st.text("0123456789", min_size=1, max_size=25).map(str.encode)
+    n = width * height
+    count = draw(st.one_of(st.integers(0, n + 3), st.integers(max(n - 1, 0), n + 2)))
+    pick = st.one_of(in_range, digits) if draw(st.booleans()) else in_range
+    tokens = draw(st.lists(pick, min_size=count, max_size=count))
+    body = b"".join(draw(gaps) + token for token in tokens)
+    if draw(st.booleans()):
+        body = body.lstrip()
+    if draw(st.booleans()):
+        body += draw(gaps)
+    return width, height, maxval, body
 
 
 class TestReadPgm:
@@ -49,6 +111,52 @@ class TestReadPgm:
         path.write_text(f"P2\n2 2\n255\n0 {sample} 0 0\n")
         with pytest.raises(TruncatedDataError):
             read_pgm(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p2_files())
+    def test_p2_equals_reference(self, tmp_path_factory, case):
+        width, height, maxval, body = case
+        path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", width, height, maxval, body)
+        got = outcome(lambda: read_pgm(path))
+        want = outcome(lambda: ref_p2_pixels(body, width, height, maxval))
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == np.uint8
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(p2_files(), st.sampled_from(list(b"+-_#xZ")), st.data())
+    def test_p2_foreign_byte_rejected(self, tmp_path_factory, case, byte, data):
+        width, height, maxval, body = case
+        at = data.draw(st.integers(0, len(body)))
+        body = body[:at] + bytes([byte]) + body[at:]
+        path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", width, height, maxval, body)
+        with pytest.raises(TruncatedDataError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("body", [b"+5 1 2 3", b"1_0 1 2 3", b"1 2 3 4 end", b"1 2 3 4 # note",
+                                      b"1 2 3 4 -5"])
+    def test_p2_non_digit_anywhere_rejected(self, tmp_path, body):
+        # int() took the first two, and the rest used to go unread
+        with pytest.raises(TruncatedDataError, match="non-numeric sample in P2 data"):
+            read_pgm(write_p2(tmp_path / "img.pgm", 2, 2, 255, body))
+
+    @pytest.mark.parametrize("body", [b"", b" ", b"\t\n\r\x0b\x0c "])
+    def test_p2_blank_body_has_no_samples(self, tmp_path, body):
+        assert read_pgm(write_p2(tmp_path / "a.pgm", 0, 0, 255, body)).shape == (0, 0)
+        with pytest.raises(TruncatedDataError, match="expected 1 samples, got 0"):
+            read_pgm(write_p2(tmp_path / "b.pgm", 1, 1, 255, body))
+
+    def test_p5_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 15, 3, 16]))
+        with pytest.raises(TruncatedDataError, match=r"sample outside \[0, maxval\]"):
+            read_pgm(str(path))
+        path.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 15, 3, 7]) + b"\xff")
+        assert read_pgm(str(path)).tolist() == [[0, 15], [3, 7]]
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 3, 7]))
+        assert read_pgm(str(path)).tolist() == [[0, 255], [3, 7]]
 
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "bad.pgm"
