@@ -2,38 +2,34 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 
 _P2_BYTES = b"0123456789 \t\n\r\x0b\x0c"
 
+# whitespace and comments, then the next token: both parts always match (a
+# token is only empty at the end of the data), so the regex never backtracks
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\v\f]+|#[^\n]*)*([^ \t\n\r\v\f#]*)")
 
-def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping comments.
-    Returns the tokens and the offset just past the single whitespace byte
-    that terminates the header."""
+
+def _tokenize_header(data: bytes, count: int, start: int = 0) -> tuple[list[int], int]:
+    """Read `count` whitespace-separated integer tokens from `start` on,
+    skipping comments.  Returns the tokens and the offset just past the
+    single whitespace byte that terminates the header."""
     tokens: list[int] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
+    i = start
+    for _ in range(count):
+        match = _HEADER_TOKEN.match(data, i)
+        token, i = match[1], match.end()
+        if not token:
             raise CorruptHeaderError("header ended early")
-        ch = data[i:i + 1]
-        if ch == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            token = data[i:j]
-            if not token.isdigit():
-                raise CorruptHeaderError(f"bad header token {token!r}")
-            tokens.append(int(token))
-            i = j
-    if i >= len(data) or not data[i:i + 1].isspace():
+        if not token.isdigit():
+            raise CorruptHeaderError(f"bad header token {token!r}")
+        tokens.append(int(token))
+    if not data[i:i + 1].isspace():
         raise CorruptHeaderError("missing whitespace after header")
     return tokens, i + 1
 
@@ -57,19 +53,21 @@ def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) or ASCII (P2) PGM with maxval <= 255."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic = data[:2]
-    if magic not in (b"P2", b"P5"):
-        raise UnsupportedFormatError(f"not a PGM file (magic {magic!r})")
-    (width, height, maxval), offset = _tokenize_header(data[2:], 3)
-    if maxval > 255:
-        raise UnsupportedFormatError(f"maxval {maxval} > 255 unsupported")
-    if maxval <= 0:
-        raise CorruptHeaderError(f"bad maxval {maxval}")
-    offset += 2
-    if magic == b"P5":
-        pixels, unit = np.frombuffer(data, dtype=np.uint8, offset=offset), "pixels"
-    else:
-        pixels, unit = _p2_samples(data[offset:]), "samples"
+        magic = data[:2]
+        if magic not in (b"P2", b"P5"):
+            raise UnsupportedFormatError(f"not a PGM file (magic {magic!r})")
+        (width, height, maxval), offset = _tokenize_header(data, 3, 2)
+        if maxval > 255:
+            raise UnsupportedFormatError(f"maxval {maxval} > 255 unsupported")
+        if maxval <= 0:
+            raise CorruptHeaderError(f"bad maxval {maxval}")
+        if magic == b"P5":
+            pixels, unit = np.frombuffer(data, dtype=np.uint8, offset=offset), "pixels"
+        else:
+            # read apart, so the file and its body are never in memory together
+            del data
+            fh.seek(offset)
+            pixels, unit = _p2_samples(fh.read()), "samples"
     if pixels.size < width * height:
         raise TruncatedDataError(f"expected {width * height} {unit}, got {pixels.size}")
     pixels = pixels[:width * height]

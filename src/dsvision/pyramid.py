@@ -152,32 +152,26 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
     A 512x512 input is first reduced to 128x128 (4x4 block average) to
     match the base-level-7 configuration.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise BadDimensionsError(f"image must be square 2D, got {image.shape}")
     side = image.shape[0]
     if side < 8 or side & (side - 1):
         raise BadDimensionsError(f"side {side} must be a power of two >= 8")
-    if not (np.abs(image) <= MAX_PIXEL).all():   # also NaN
-        raise OutOfRangeError(f"image has a NaN pixel or one beyond ±{MAX_PIXEL:g}")
-    if side == 512:
+    # an integer pixel is finite and far below MAX_PIXEL: only floats are scanned
+    if not np.issubdtype(image.dtype, np.integer):
+        image = image.astype(np.float64, copy=False)
+        if not (np.abs(image) <= MAX_PIXEL).all():   # also NaN
+            raise OutOfRangeError(f"image has a NaN pixel or one beyond ±{MAX_PIXEL:g}")
+    if side == 512:   # float64 means, without a float64 copy of integer pixels
         image = image.reshape(128, 4, 128, 4).mean(axis=(1, 3))
         side = 128
-    levels = [image]
+    levels = [image.astype(np.float64, copy=False)]
     while side > 1:
         side //= 2
         levels.append(levels[-1].reshape(side, 2, side, 2).mean(axis=(1, 3)))
     levels.reverse()
     return Pyramid(tuple(levels))
-
-
-@dataclass(frozen=True)
-class EdgeSegment:
-    level: int
-    row: int
-    col: int
-    direction: int
-    support_count: int
 
 
 @dataclass(frozen=True)
@@ -218,42 +212,41 @@ def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -
     return EdgeField(directions, magnitudes)
 
 
-def _segments(level: int, counts: np.ndarray, keep: np.ndarray) -> list[EdgeSegment]:
-    """The kept (row, col, direction) entries of a level, in row, column,
-    direction order, each with its child count."""
-    rows, cols, dirs = np.nonzero(keep)
-    return [EdgeSegment(level, r, c, d, n) for r, c, d, n in
-            zip(rows.tolist(), cols.tolist(), dirs.tolist(), counts[keep].tolist())]
+def _edge_rows(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept cells of a level's (row, col, direction) count grid as rows
+    of (row, col, direction, count), in row, column, direction order."""
+    return np.column_stack((np.argwhere(keep), counts[keep]))
 
 
 def aggregate_short_edges(p: Pyramid, micro: EdgeField,
-                          config: PipelineConfig = PipelineConfig()) -> list[EdgeSegment]:
+                          config: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Short edges one level above the base: a cell holds a direction when
-    enough of its four children agree on it."""
-    n6 = p.base.shape[0] // 2
-    blocks = micro.directions.reshape(n6, 2, n6, 2).swapaxes(1, 2).reshape(n6, n6, 4)
-    counts = np.count_nonzero(blocks[..., None] == np.arange(8, dtype=np.int8), axis=2)
-    return _segments(p.base_level - 1, counts, counts >= config.short_support)
+    enough of its four children agree on it.  One (row, col, direction,
+    count) row per short edge."""
+    n = p.base.shape[0]
+    rows, cols = np.nonzero(micro.directions != NO_EDGE)
+    key = ((rows // 2) * (n // 2) + cols // 2) * 8 + micro.directions[rows, cols]
+    counts = np.bincount(key, minlength=(n // 2) ** 2 * 8).reshape(n // 2, n // 2, 8)
+    return _edge_rows(counts, counts >= config.short_support)
 
 
-def aggregate_long_edges(p: Pyramid, short: list[EdgeSegment],
-                         config: PipelineConfig = PipelineConfig()) -> list[EdgeSegment]:
+def aggregate_long_edges(p: Pyramid, short: np.ndarray,
+                         config: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Long edges two levels above the base: a cell holds a direction when
     enough of its four short-edge children carry it and two of those are
     collinear along the edge orientation; a count threshold alone is not
-    enough."""
+    enough.  Takes and returns (row, col, direction, count) rows."""
     n6 = p.base.shape[0] // 2
     n5 = n6 // 2
     present = np.zeros((n6, n6, 8), dtype=bool)
-    cells = np.array([(s.row, s.col, s.direction) for s in short], dtype=np.intp)
-    present[tuple(cells.reshape(-1, 3).T)] = True
+    present[short[:, 0], short[:, 1], short[:, 2]] = True
     blocks = present.reshape(n5, 2, n5, 2, 8)   # (row5, dr, col5, dc, direction)
     counts = blocks.sum(axis=(1, 3))
     collinear = np.zeros((n5, n5, 8), dtype=bool)
     for d, pairs in _COLLINEAR_PAIRS.items():
         for (r0, c0), (r1, c1) in pairs:
             collinear[..., d] |= blocks[:, r0, :, c0, d] & blocks[:, r1, :, c1, d]
-    return _segments(p.base_level - 2, counts, (counts >= config.long_support) & collinear)
+    return _edge_rows(counts, (counts >= config.long_support) & collinear)
 
 
 @dataclass(frozen=True)
@@ -293,91 +286,84 @@ class CandidateArea:
     conflict: float = 0.0   # stage C's combination conflict K
 
 
-@dataclass(frozen=True)
-class EdgeLine:
-    """A maximal horizontal edge line, merged from long-edge segments.
+def _label(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Label each node with the lowest node of its component, once the links
+    (i[k], j[k]) join the components ``label`` holds (``np.arange(n)`` for
+    none).  Each round hooks the larger root of every link still joining two
+    trees onto the smaller, then jumps pointers to the roots; parents only
+    decrease, so a root is the lowest node of its tree."""
+    while True:
+        a, b = label[i], label[j]
+        apart = a != b
+        if not apart.any():
+            return label
+        i, j, a, b = i[apart], j[apart], a[apart], b[apart]
+        label = label.copy()
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while ((up := label[label]) != label).any():
+            label = up
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (k, value) with value in [first[k], first[k] + count[k])."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, first[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
+def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
+    """Horizontal edge lines as rows of (direction, row_min, row_max,
+    col_start, col_end) in level-5 cells: the 4-connected components of the
+    long edges of each direction in ``VERTICAL_GRADIENT``.
 
     A physical border registers at one or two adjacent level-5 rows; the
-    pixel row places it at sub-cell resolution (on the cell boundary when
-    two rows responded, at the cell center when one did).
+    pixel row 2 * (row_min + row_max + 1) places it at sub-cell resolution
+    (on the cell boundary when two rows responded, at the cell center when
+    one did).  Horizontal runs are linked where they touch on adjacent rows.
     """
-
-    direction: int
-    row_min: int
-    row_max: int
-    col_start: int
-    col_end: int
-
-    @property
-    def pixel_row(self) -> int:
-        return 2 * (self.row_min + self.row_max + 1)
-
-
-def _edge_runs(long_edges: list[EdgeSegment], directions) -> list[tuple[int, int, int, int]]:
-    """Merge same-row, same-direction long edges into maximal horizontal
-    runs; returns (direction, row, col_start, col_end) in level-5 cells."""
-    by_row: dict[tuple[int, int], list[int]] = {}
-    for seg in long_edges:
-        if seg.direction in directions:
-            by_row.setdefault((seg.direction, seg.row), []).append(seg.col)
-    runs = []
-    for (d, row), cols in sorted(by_row.items()):
-        cols = sorted(set(cols))
-        start = prev = cols[0]
-        for c in cols[1:]:
-            if c == prev + 1:
-                prev = c
-            else:
-                runs.append((d, row, start, prev))
-                start = prev = c
-        runs.append((d, row, start, prev))
-    return runs
+    edges = long_edges[np.isin(long_edges[:, 2], VERTICAL_GRADIENT)]
+    shape = (2, edges[:, 0].max(initial=0) + 1, edges[:, 1].max(initial=0) + 3)
+    cells = np.zeros(shape, dtype=np.int8)
+    cells[edges[:, 2] // 4, edges[:, 0], edges[:, 1] + 1] = 1
+    step = np.diff(cells, axis=2)
+    plane, row, start = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[2] - 1
+    run = np.cumsum(step == 1).reshape(step.shape)[..., :-1] - 1   # each cell's run
+    vertical = (cells[:, :-1] & cells[:, 1:])[..., 1:-1].astype(bool)
+    root = _label(np.arange(len(row)), run[:, :-1][vertical], run[:, 1:][vertical])
+    row_max, col_start, col_end = row.copy(), start.copy(), end.copy()
+    np.maximum.at(row_max, root, row)
+    np.minimum.at(col_start, root, start)
+    np.maximum.at(col_end, root, end)
+    lines = np.column_stack((VERTICAL_GRADIENT[0] + 4 * plane, row, row_max, col_start, col_end))
+    return lines[root == np.arange(len(root))]
 
 
-def _components(n: int, links) -> list[list[int]]:
-    """Connected components of the indices 0..n-1 under the (i, j) links.
+def _line_pairs(pixel_row, start, end, covering, probing, min_sep, max_sep, skip):
+    """(probing, covering) index pairs of lines min_sep..max_sep pixel rows
+    apart where the covering line holds the probing line's start column,
+    not counting the covering line's first ``skip`` columns.
 
-    Members ascend within a component, and components are ordered by their
-    lowest member.
+    Every column of every covering line is one sorted (column, pixel row)
+    key, so each probe is two binary searches.
     """
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in links:
-        parent[root(i)] = root(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
-
-
-def _edge_lines(long_edges: list[EdgeSegment], directions) -> list[EdgeLine]:
-    """Fuse runs on adjacent rows that overlap in columns into edge lines."""
-    runs = _edge_runs(long_edges, directions)
-    links = (
-        (i, j)
-        for i, (d1, row1, s1, e1) in enumerate(runs)
-        for j, (d2, row2, s2, e2) in enumerate(runs[i + 1:], i + 1)
-        if d2 == d1 and abs(row2 - row1) == 1 and s1 <= e2 and s2 <= e1
-    )
-    lines = []
-    for group in _components(len(runs), links):
-        members = [runs[i] for i in group]
-        d = members[0][0]
-        rows = [row for _, row, _, _ in members]
-        lines.append(EdgeLine(
-            d, min(rows), max(rows),
-            min(s for _, _, s, _ in members),
-            max(e for _, _, _, e in members)))
-    return sorted(lines, key=lambda ln: (ln.row_min, ln.col_start, ln.direction))
+    span = int(pixel_row.max(initial=0)) + 1
+    line, column = _ranges(start[covering] + skip, end[covering] - start[covering] + 1 - skip)
+    line = covering[line]
+    key = column * span + pixel_row[line]
+    order = np.argsort(key, kind="stable")
+    key, line = key[order], line[order]
+    base, at = start[probing] * span, pixel_row[probing]
+    min_sep, max_sep = min(min_sep, span), min(max_sep, span)
+    found = []
+    for lo, hi in ((at - max_sep, at - min_sep), (at + min_sep, at + max_sep)):
+        first = np.searchsorted(key, base + np.clip(lo, 0, span), "left")
+        last = np.searchsorted(key, base + np.clip(hi, -1, span - 1), "right")
+        owner, hit = _ranges(first, np.maximum(last - first, 0))
+        found.append((probing[owner], line[hit]))
+    return [np.concatenate(side) for side in zip(*found)]
 
 
-def find_window_candidates(long_edges: list[EdgeSegment],
+def find_window_candidates(long_edges: np.ndarray,
                            config: PipelineConfig = PipelineConfig()) -> list[CandidateArea]:
     """Rectangles spanned by opposite-polarity horizontal long-edge pairs.
 
@@ -385,30 +371,34 @@ def find_window_candidates(long_edges: list[EdgeSegment],
     vertically separated within the configured range.  Nested rectangles
     are deduplicated in favor of the tightest pair; ids follow raster order
     of the top edge.
+
+    Each pair is found once, at the later of the two start columns, so work
+    and memory follow the grid and the pairs found, never all line pairs.
     """
-    lines = _edge_lines(long_edges, VERTICAL_GRADIENT)
-    rects = []
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            if b.direction != (a.direction + 4) % 8:
-                continue
-            sep = abs(b.pixel_row - a.pixel_row)
-            if not config.pair_min_sep <= sep <= config.pair_max_sep:
-                continue
-            lo, hi = max(a.col_start, b.col_start), min(a.col_end, b.col_end)
-            if lo > hi:
-                continue
-            top = min(a.pixel_row, b.pixel_row)
-            rects.append(Rect(top, lo * 4, sep, (hi - lo + 1) * 4))
-    rects = sorted(set(rects), key=lambda r: (r.top, r.left, r.height, r.width))
-    top, left, bottom, right = np.array([(r.top, r.left, r.bottom, r.right) for r in rects],
-                                        dtype=np.intp).reshape(-1, 4).T
+    direction, row_min, row_max, start, end = _edge_lines(long_edges).T
+    pixel_row = 2 * (row_min + row_max + 1)
+    d2, d6 = (np.flatnonzero(direction == d) for d in VERTICAL_GRADIENT)
+    seps = config.pair_min_sep, config.pair_max_sep
+    a1, b1 = _line_pairs(pixel_row, start, end, d6, d2, *seps, skip=0)
+    b2, a2 = _line_pairs(pixel_row, start, end, d2, d6, *seps, skip=1)
+    a, b = np.concatenate((a1, a2)), np.concatenate((b1, b2))
+    lo, hi = np.maximum(start[a], start[b]), np.minimum(end[a], end[b])
+    top = np.minimum(pixel_row[a], pixel_row[b])
+    sep = np.abs(pixel_row[a] - pixel_row[b])
+    # sorted distinct rects; np.unique would import numpy.ma, 1.6 MB resident
+    rects = np.column_stack((top, lo * 4, sep, (hi - lo + 1) * 4))
+    rects = rects[np.lexsort(rects.T[::-1])]
+    fresh = np.ones(len(rects), dtype=bool)
+    fresh[1:] = (rects[1:] != rects[:-1]).any(axis=1)
+    rects = rects[fresh]
+    top, left, height, width = rects.T
+    bottom, right = top + height, left + width
     # nests[i, j]: rect i contains rect j; the rects are distinct
     nests = ((top[:, None] <= top) & (left[:, None] <= left)
              & (bottom[:, None] >= bottom) & (right[:, None] >= right))
     np.fill_diagonal(nests, False)
-    kept = [r for r, outer in zip(rects, nests.any(axis=1).tolist()) if not outer]
-    return [CandidateArea(i + 1, r) for i, r in enumerate(kept)]
+    kept = rects[~nests.any(axis=1)]
+    return [CandidateArea(i, Rect(*r)) for i, r in enumerate(kept.tolist(), 1)]
 
 
 def _box_sums(mask: np.ndarray, top, left, bottom, right) -> np.ndarray:
@@ -502,36 +492,39 @@ def sibling_search(cands: list[CandidateArea],
         c.v_sibl = v
 
 
-def building_boundary(long_edges: list[EdgeSegment], cands: list[CandidateArea],
+def building_boundary(long_edges: np.ndarray, cands: list[CandidateArea],
                       config: PipelineConfig = PipelineConfig()) -> None:
     """Flag candidates outside the building region with non-window support.
 
     The building region is the bounding box of the densest connected
-    cluster of long edges (edges within ``cluster_distance`` level-5 cells
-    of each other).  With no long edges at all, every candidate stays 0.
+    cluster of long-edge cells (cells within ``cluster_distance`` level-5
+    cells of each other in both rows and columns); a tie goes to the
+    cluster whose first cell in raster order comes last.  With no long
+    edges at all, every candidate stays 0.
     """
     for c in cands:
         c.non_window = 0.0
-    if not long_edges or not cands:
+    if not len(long_edges) or not cands:
         return
-    cells = sorted({(seg.row, seg.col) for seg in long_edges})
-    dist = config.cluster_distance
-
-    def links():
-        for i, (r1, c1) in enumerate(cells):
-            for j in range(i + 1, len(cells)):
-                r2, c2 = cells[j]
-                if r2 - r1 > dist:
-                    break  # cells are sorted by row
-                if abs(c2 - c1) <= dist:
-                    yield i, j
-
-    clusters = [[cells[i] for i in group] for group in _components(len(cells), links())]
-    densest = max(clusters, key=lambda members: (len(members), members[0]))
-    rows = [r for r, _ in densest]
-    cols = [col for _, col in densest]
-    top, bottom = min(rows) * 4, (max(rows) + 1) * 4
-    left, right = min(cols) * 4, (max(cols) + 1) * 4
+    grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)
+    grid[long_edges[:, 0], long_edges[:, 1]] = True
+    rows, cols = np.nonzero(grid)
+    node = np.zeros(grid.shape, dtype=np.intp)
+    node[rows, cols] = np.arange(len(rows))
+    h, w = grid.shape
+    reach_r, reach_c = min(config.cluster_distance, h - 1), min(config.cluster_distance, w - 1)
+    label = np.arange(len(rows))
+    for dr in range(reach_r + 1):
+        for dc in range(-reach_c, reach_c + 1):
+            if dr or dc > 0:   # each pair once; one offset's links at a time
+                near = np.s_[:h - dr, max(0, -dc):w - max(0, dc)]
+                far = np.s_[dr:, max(0, dc):w - max(0, -dc)]
+                both = grid[near] & grid[far]
+                label = _label(label, node[near][both], node[far][both])
+    size = np.bincount(label)
+    members = label == np.flatnonzero(size == size.max())[-1]
+    top, bottom = rows[members].min() * 4, (rows[members].max() + 1) * 4
+    left, right = cols[members].min() * 4, (cols[members].max() + 1) * 4
     for c in cands:
         cy, cx = c.rect.center
         if not (top <= cy < bottom and left <= cx < right):
@@ -557,8 +550,8 @@ def stage_c_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> 
 class PipelineResult:
     pyramid: Pyramid
     micro: EdgeField
-    short_edges: list[EdgeSegment]
-    long_edges: list[EdgeSegment]
+    short_edges: np.ndarray   # (row, col, direction, count) rows
+    long_edges: np.ndarray
     candidates: list[CandidateArea]
 
 

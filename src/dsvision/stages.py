@@ -37,6 +37,9 @@ FEATURE_FRAME = make_frame(FEATURE_ATOMS)
 SIBLING_FRAME = make_frame(SIBLING_ATOMS)
 
 
+# the default sources are built once: a KnowledgeSource is frozen, so every
+# caller can share one
+@functools.cache
 def window_knowledge() -> KnowledgeSource:
     """Knowledge about window appearance: boundaries are the most
     convincing evidence, either side will do."""
@@ -48,6 +51,7 @@ def window_knowledge() -> KnowledgeSource:
     })
 
 
+@functools.cache
 def sibling_knowledge() -> KnowledgeSource:
     """Knowledge about window placement in a facade; judged certain, so no
     residual is kept on theta."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsvision.errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 from dsvision.fixtures import synthetic_facade
-from dsvision.netpbm import read_pgm, write_pgm, write_ppm
+from dsvision.netpbm import _tokenize_header, read_pgm, write_pgm, write_ppm
 from dsvision.pyramid import CandidateArea, Rect
 from dsvision.report import ReportRow, format_report, write_overlay
 
@@ -28,6 +28,54 @@ def ref_p2_pixels(body: bytes, width: int, height: int, maxval: int) -> np.ndarr
     if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
         raise TruncatedDataError("sample outside [0, maxval]")
     return pixels.astype(np.uint8).reshape(height, width)
+
+
+def ref_tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
+    """The reference header walk, one byte slice at a time: `count` integer
+    tokens, skipping whitespace and `#` comments up to a newline, and the
+    offset just past the one whitespace byte that ends the header."""
+    tokens: list[int] = []
+    i = 0
+    while len(tokens) < count:
+        if i >= len(data):
+            raise CorruptHeaderError("header ended early")
+        ch = data[i:i + 1]
+        if ch == b"#":
+            while i < len(data) and data[i:i + 1] != b"\n":
+                i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+                j += 1
+            token = data[i:j]
+            if not token.isdigit():
+                raise CorruptHeaderError(f"bad header token {token!r}")
+            tokens.append(int(token))
+            i = j
+    if i >= len(data) or not data[i:i + 1].isspace():
+        raise CorruptHeaderError("missing whitespace after header")
+    return tokens, i + 1
+
+
+def header_outcome(tokenize, data, count):
+    try:
+        return tokenize(data, count)
+    except CorruptHeaderError as exc:
+        return str(exc)
+
+
+# header pieces, joined with no separator: digit runs, other tokens, comments
+# with and without their newline, each whitespace byte and any single byte
+header_pieces = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4).map(str.encode),
+    st.sampled_from([b"x", b"-1", b"+", b"\xb2", b"\x1c", b"\x00", b"255#c\n", b"1_0"]),
+    st.builds(lambda text, end: b"#" + text + end,
+              st.binary(max_size=6), st.sampled_from([b"", b"\n"])),
+    st.sampled_from([bytes([b]) for b in WHITESPACE]),
+    st.binary(min_size=1, max_size=1),
+)
 
 
 def write_p2(path, width, height, maxval, body: bytes) -> str:
@@ -163,6 +211,26 @@ class TestReadPgm:
         path.write_bytes(b"P5\n4 x\n255\n" + bytes(16))
         with pytest.raises(CorruptHeaderError):
             read_pgm(str(path))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(header_pieces, max_size=12).map(b"".join), st.integers(1, 4))
+    def test_header_tokens_match_reference_walk(self, data, count):
+        assert (header_outcome(_tokenize_header, data, count)
+                == header_outcome(ref_tokenize_header, data, count))
+
+    @pytest.mark.parametrize("data", [b"255#c\n", b"8 8 255", b"8 8 255\x1c", b"8 8\n# c",
+                                      b"8#a#b\n8\x0b255\x0c", b"8 8 25x5\n"])
+    def test_header_edge_cases_match_reference_walk(self, data):
+        assert (header_outcome(_tokenize_header, data, 3)
+                == header_outcome(ref_tokenize_header, data, 3))
+
+    @pytest.mark.parametrize("filler", [b"#" + b"# c" * 400_000 + b"\n", b" \t" * 500_000],
+                             ids=["comment", "whitespace"])
+    def test_megabyte_header_filler(self, tmp_path, filler):
+        path = tmp_path / "long.pgm"
+        image = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        path.write_bytes(b"P5\n8 " + filler + b"8\n255\n" + image.tobytes())
+        assert np.array_equal(read_pgm(str(path)), image)
 
 
 def make_row(rid, bel_c, bel_a=0.4):

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
-from dsvision.errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
-                             RectOutOfBoundsError)
+from dsvision.errors import (BadDimensionsError, DSVisionError, InvalidParamsError,
+                             OutOfRangeError, ParseError, RectOutOfBoundsError)
 from dsvision.fixtures import synthetic_facade
 from dsvision.pyramid import (
     _COLLINEAR_PAIRS,
     NO_EDGE,
     CandidateArea,
     EdgeField,
-    EdgeSegment,
     PipelineConfig,
     VERTICAL_GRADIENT,
     Rect,
-    _components,
     _edge_lines,
+    _label,
     aggregate_long_edges,
     aggregate_short_edges,
     build_pyramid,
@@ -33,12 +32,21 @@ from dsvision.pyramid import (
 from dsvision.report import format_report, report_from_result, write_overlay
 
 
+def edges(rows):
+    """(row, col, direction, count) edge rows as the aggregates return them."""
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def as_tuples(rows):
+    return [tuple(r) for r in rows.tolist()]
+
+
 def short_edge_at(micro, row6, col6, direction, support=2):
     """Scalar reference: one short-edge cell from its 2x2 child block."""
     block = micro.directions[2 * row6:2 * row6 + 2, 2 * col6:2 * col6 + 2]
     count = int(np.count_nonzero(block == direction))
     if count >= support:
-        return EdgeSegment(6, row6, col6, direction, count)
+        return (row6, col6, direction, count)
     return None
 
 
@@ -55,7 +63,7 @@ def long_edge_at(short_set, row5, col5, direction, support=2):
     cells = set(present)
     for pair in _COLLINEAR_PAIRS[direction]:
         if cells.issuperset(pair):
-            return EdgeSegment(5, row5, col5, direction, len(present))
+            return (row5, col5, direction, len(present))
     return None
 
 
@@ -72,18 +80,79 @@ def scalar_long_edges(short_set, n5, support):
     return [s for s in segments if s is not None]
 
 
+def ref_components(n, links):
+    """Reference union-find: connected components of the indices 0..n-1
+    under the (i, j) links, members ascending, ordered by lowest member."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        parent[root(i)] = root(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def ref_edge_runs(long_edges, directions):
+    """Reference: same-row, same-direction long edges merged into maximal
+    horizontal runs (direction, row, col_start, col_end)."""
+    by_row = {}
+    for row, col, direction, _ in long_edges:
+        if direction in directions:
+            by_row.setdefault((direction, row), []).append(col)
+    runs = []
+    for (d, row), cols in sorted(by_row.items()):
+        cols = sorted(set(cols))
+        start = prev = cols[0]
+        for c in cols[1:]:
+            if c == prev + 1:
+                prev = c
+            else:
+                runs.append((d, row, start, prev))
+                start = prev = c
+        runs.append((d, row, start, prev))
+    return runs
+
+
+def ref_edge_lines(long_edges):
+    """Reference: runs on adjacent rows that overlap in columns, fused by
+    testing every pair of runs; (direction, row_min, row_max, col_start,
+    col_end) tuples sorted by (row_min, col_start, direction)."""
+    runs = ref_edge_runs(long_edges, VERTICAL_GRADIENT)
+    links = (
+        (i, j)
+        for i, (d1, row1, s1, e1) in enumerate(runs)
+        for j, (d2, row2, s2, e2) in enumerate(runs[i + 1:], i + 1)
+        if d2 == d1 and abs(row2 - row1) == 1 and s1 <= e2 and s2 <= e1
+    )
+    lines = []
+    for group in ref_components(len(runs), links):
+        members = [runs[i] for i in group]
+        rows = [row for _, row, _, _ in members]
+        lines.append((members[0][0], min(rows), max(rows),
+                      min(s for _, _, s, _ in members), max(e for _, _, _, e in members)))
+    return sorted(lines, key=lambda ln: (ln[1], ln[3], ln[0]))
+
+
 def ref_find_window_candidates(long_edges, config):
     """Scalar reference: every opposite-polarity line pair in range, then a
     pairwise scan that drops each rect holding another."""
-    lines = _edge_lines(long_edges, VERTICAL_GRADIENT)
+    lines = ref_edge_lines(long_edges)
     rects = set()
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            sep = abs(b.pixel_row - a.pixel_row)
-            lo, hi = max(a.col_start, b.col_start), min(a.col_end, b.col_end)
-            if (b.direction == (a.direction + 4) % 8
+    for i, (da, ra0, ra1, sa, ea) in enumerate(lines):
+        for db, rb0, rb1, sb, eb in lines[i + 1:]:
+            row_a, row_b = 2 * (ra0 + ra1 + 1), 2 * (rb0 + rb1 + 1)
+            sep = abs(row_b - row_a)
+            lo, hi = max(sa, sb), min(ea, eb)
+            if (db == (da + 4) % 8
                     and config.pair_min_sep <= sep <= config.pair_max_sep and lo <= hi):
-                rects.add(Rect(min(a.pixel_row, b.pixel_row), lo * 4, sep, (hi - lo + 1) * 4))
+                rects.add(Rect(min(row_a, row_b), lo * 4, sep, (hi - lo + 1) * 4))
 
     def contains(r, o):
         return (r.top <= o.top and r.left <= o.left
@@ -94,9 +163,28 @@ def ref_find_window_candidates(long_edges, config):
     return list(enumerate(kept, 1))
 
 
-def as_tuples(segments):
-    # the scalar references fix the level at 6 and 5; compare the rest, in order
-    return [(s.row, s.col, s.direction, s.support_count) for s in segments]
+def ref_building_box(long_edges, dist):
+    """Reference: the (top, bottom, left, right) pixel box of the densest
+    cluster of long-edge cells, linked by a scan of the row-sorted cells;
+    None without long edges."""
+    cells = sorted({(row, col) for row, col, _, _ in long_edges})
+    if not cells:
+        return None
+
+    def links():
+        for i, (r1, c1) in enumerate(cells):
+            for j in range(i + 1, len(cells)):
+                r2, c2 = cells[j]
+                if r2 - r1 > dist:
+                    break  # cells are sorted by row
+                if abs(c2 - c1) <= dist:
+                    yield i, j
+
+    clusters = [[cells[i] for i in group] for group in ref_components(len(cells), links())]
+    densest = max(clusters, key=lambda members: (len(members), members[0]))
+    rows = [r for r, _ in densest]
+    cols = [col for _, col in densest]
+    return min(rows) * 4, (max(rows) + 1) * 4, min(cols) * 4, (max(cols) + 1) * 4
 
 
 def random_image(seed, side):
@@ -108,6 +196,14 @@ def random_image(seed, side):
     cell = 1 << int(rng.integers(1, 4))
     coarse = rng.choice([0.0, 255.0], size=(max(side // cell, 1),) * 2)
     return np.kron(coarse, np.ones((cell, cell)))[:side, :side]
+
+
+def random_long_edges(seed, rows, cols, density):
+    """Random level-5 long edges on a rows x cols grid, mostly of the two
+    horizontal-line directions, in row, column, direction order."""
+    rng = np.random.default_rng(seed)
+    present = rng.random((rows, cols, 8)) < density * np.array([.1, .1, 1, .1, .1, .1, 1, .1])
+    return np.column_stack((np.argwhere(present), rng.integers(2, 5, int(present.sum()))))
 
 
 def step_image(side=16, column=8, low=0.0, high=255.0):
@@ -155,6 +251,22 @@ class TestBuildPyramid:
         for side in (16, 512):   # the largest magnitude allowed runs without a warning
             result = run_pipeline(step_image(side, side // 2, low=-1e300, high=1e300))
             assert np.isfinite(result.micro.magnitudes).all()
+
+    @pytest.mark.parametrize("value", [np.nan, 1e301, -1e301])
+    def test_float_out_of_range_pixel_rejected(self, value):
+        # integer images skip the range scan; float images keep it
+        image = np.zeros((16, 16))
+        image[7, 2] = value
+        with pytest.raises(OutOfRangeError):
+            build_pyramid(image)
+
+    @pytest.mark.parametrize("side", [16, 128, 512])
+    def test_integer_image_equals_float_image(self, side):
+        image = np.random.default_rng(side).integers(0, 256, (side, side)).astype(np.uint8)
+        for ints, floats in zip(build_pyramid(image).levels,
+                                build_pyramid(image.astype(np.float64)).levels):
+            assert ints.dtype == floats.dtype == np.float64
+            assert np.array_equal(ints, floats)
 
     def test_parent_cells_average_children(self):
         rng = np.random.default_rng(5)
@@ -208,18 +320,18 @@ class TestAggregateShortEdges:
         p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [(4, 6), (4, 7), (5, 6), (5, 7)])
         short = aggregate_short_edges(p, micro)
-        assert short == [EdgeSegment(3, 2, 3, 2, 4)]
+        assert short.tolist() == [[2, 3, 2, 4]]
 
     def test_single_child_below_threshold(self):
         p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [(4, 6)])
-        assert aggregate_short_edges(p, micro) == []
+        assert aggregate_short_edges(p, micro).shape == (0, 4)
 
     def test_step_fixture_gives_unbroken_column(self):
         p = build_pyramid(step_image())
         micro = extract_micro_edges(p)
         short = aggregate_short_edges(p, micro)
-        cells = {(s.row, s.col) for s in short if s.direction == 0}
+        cells = {(row, col) for row, col, d, _ in short.tolist() if d == 0}
         # both edge columns 7 and 8 fall in level-6 column 3 or 4
         for row in range(1, 7):
             assert (row, 3) in cells or (row, 4) in cells
@@ -229,7 +341,7 @@ class TestAggregateShortEdges:
         p = build_pyramid(fx.image)
         micro = extract_micro_edges(p)
         short = aggregate_short_edges(p, micro)
-        listed = {(s.row, s.col, s.direction): s.support_count for s in short}
+        listed = {(row, col, d): count for row, col, d, count in short.tolist()}
         for row6 in range(0, 64, 7):
             for col6 in range(0, 64, 5):
                 for d in range(8):
@@ -237,7 +349,7 @@ class TestAggregateShortEdges:
                     if seg is None:
                         assert (row6, col6, d) not in listed
                     else:
-                        assert listed[(row6, col6, d)] == seg.support_count
+                        assert listed[(row6, col6, d)] == seg[3]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 64, 128, 256]),
@@ -249,33 +361,34 @@ class TestAggregateShortEdges:
         p = build_pyramid(random_image(seed, side))
         micro = extract_micro_edges(p, config)
         short = aggregate_short_edges(p, micro, config)
-        assert as_tuples(short) == as_tuples(scalar_short_edges(micro, short_support))
-        assert all(s.level == p.base_level - 1 for s in short)
+        assert as_tuples(short) == scalar_short_edges(micro, short_support)
+        # one integer row per edge, whose level the grid it indexes fixes
+        assert short.shape[1] == 4 and short.dtype.kind == "i"
         long_edges = aggregate_long_edges(p, short, config)
-        short_set = {(s.row, s.col, s.direction) for s in short}
+        short_set = {row[:3] for row in as_tuples(short)}
         n5 = p.base.shape[0] // 4
-        assert as_tuples(long_edges) == as_tuples(scalar_long_edges(short_set, n5, long_support))
-        assert all(s.level == p.base_level - 2 for s in long_edges)
+        assert as_tuples(long_edges) == scalar_long_edges(short_set, n5, long_support)
+        assert long_edges.shape[1] == 4 and long_edges.dtype.kind == "i"
 
 
 class TestAggregateLongEdges:
     def test_horizontally_adjacent_children(self):
         p = build_pyramid(np.zeros((16, 16)))
-        short = [EdgeSegment(3, 2, 2, 2, 2), EdgeSegment(3, 2, 3, 2, 2)]
+        short = edges([(2, 2, 2, 2), (2, 3, 2, 2)])
         long_edges = aggregate_long_edges(p, short)
-        assert long_edges == [EdgeSegment(2, 1, 1, 2, 2)]
+        assert long_edges.tolist() == [[1, 1, 2, 2]]
 
     def test_diagonal_children_fail_collinearity(self):
         p = build_pyramid(np.zeros((16, 16)))
-        short = [EdgeSegment(3, 2, 2, 2, 2), EdgeSegment(3, 3, 3, 2, 2)]
-        assert aggregate_long_edges(p, short) == []
+        short = edges([(2, 2, 2, 2), (3, 3, 2, 2)])
+        assert aggregate_long_edges(p, short).shape == (0, 4)
 
     def test_vertical_direction_wants_same_column(self):
         p = build_pyramid(np.zeros((16, 16)))
-        short = [EdgeSegment(3, 2, 2, 0, 2), EdgeSegment(3, 3, 2, 0, 2)]
-        assert aggregate_long_edges(p, short) == [EdgeSegment(2, 1, 1, 0, 2)]
-        short_row = [EdgeSegment(3, 2, 2, 0, 2), EdgeSegment(3, 2, 3, 0, 2)]
-        assert aggregate_long_edges(p, short_row) == []
+        short = edges([(2, 2, 0, 2), (3, 2, 0, 2)])
+        assert aggregate_long_edges(p, short).tolist() == [[1, 1, 0, 2]]
+        short_row = edges([(2, 2, 0, 2), (2, 3, 0, 2)])
+        assert aggregate_long_edges(p, short_row).shape == (0, 4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 64, 128]),
@@ -284,21 +397,21 @@ class TestAggregateLongEdges:
         rng = np.random.default_rng(seed)
         n6 = side // 2
         present = rng.random((n6, n6, 8)) < density
-        cells = rng.permutation(np.argwhere(present))   # the list order must not matter
-        short = [EdgeSegment(6, int(r), int(c), int(d), 2) for r, c, d in cells]
+        cells = rng.permutation(np.argwhere(present))   # the row order must not matter
+        short = np.column_stack((cells, np.full(len(cells), 2)))
         p = build_pyramid(np.zeros((side, side)))
         long_edges = aggregate_long_edges(p, short, PipelineConfig(long_support=support))
-        short_set = {(s.row, s.col, s.direction) for s in short}
-        assert as_tuples(long_edges) == as_tuples(scalar_long_edges(short_set, n6 // 2, support))
+        short_set = set(map(tuple, cells.tolist()))
+        assert as_tuples(long_edges) == scalar_long_edges(short_set, n6 // 2, support)
 
     def test_step_fixture_cascades_to_long_column(self):
         p = build_pyramid(step_image())
         micro = extract_micro_edges(p)
         short = aggregate_short_edges(p, micro)
         long_edges = aggregate_long_edges(p, short)
-        vertical = [s for s in long_edges if s.direction == 0]
-        assert {s.col for s in vertical} == {1, 2}
-        assert len({s.row for s in vertical}) >= 2
+        vertical = long_edges[long_edges[:, 2] == 0]
+        assert set(vertical[:, 1].tolist()) == {1, 2}
+        assert len(set(vertical[:, 0].tolist())) >= 2
 
     def test_single_cell_recompute_matches(self):
         fx = synthetic_facade()
@@ -306,8 +419,8 @@ class TestAggregateLongEdges:
         micro = extract_micro_edges(p)
         short = aggregate_short_edges(p, micro)
         long_edges = aggregate_long_edges(p, short)
-        short_set = {(s.row, s.col, s.direction) for s in short}
-        listed = {(s.row, s.col, s.direction) for s in long_edges}
+        short_set = {row[:3] for row in as_tuples(short)}
+        listed = {row[:3] for row in as_tuples(long_edges)}
         for row5 in range(0, 32, 3):
             for col5 in range(0, 32, 2):
                 for d in range(8):
@@ -316,61 +429,87 @@ class TestAggregateLongEdges:
 
 
 def test_components_keep_index_order():
-    # groups ordered by their lowest member, members ascending, whatever
+    # each node is labelled with the lowest member of its component, whatever
     # the link order: building_boundary's tie-break relies on it
-    assert _components(6, [(3, 0), (5, 1), (4, 1)]) == [[0, 3], [1, 4, 5], [2]]
-    assert _components(0, []) == []
+    label = _label(np.arange(6), np.array([3, 5, 4]), np.array([0, 1, 1]))
+    assert label.tolist() == [0, 1, 2, 0, 1, 1]
+    assert ref_components(6, [(3, 0), (5, 1), (4, 1)]) == [[0, 3], [1, 4, 5], [2]]
+    assert _label(np.arange(0), np.empty(0, np.intp), np.empty(0, np.intp)).tolist() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 80), st.integers(1, 4))
+def test_label_matches_reference_components(seed, n, n_links, batches):
+    # links added in one call or over several, as building_boundary does
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, max(n, 1), size=(2, n_links if n else 0))
+    label = np.arange(n)
+    for part in np.array_split(np.arange(len(i)), batches):
+        label = _label(label, i[part], j[part])
+    want = [0] * n
+    for group in ref_components(n, zip(i.tolist(), j.tolist())):
+        for member in group:
+            want[member] = group[0]
+    assert label.tolist() == want
 
 
 class TestFindWindowCandidates:
     def test_two_opposite_edges_give_one_candidate(self):
         # single-row edge lines at level-5 rows 1 and 3 sit 8 pixels apart
-        long_edges = [EdgeSegment(5, 1, c, 6, 2) for c in range(2, 6)]
-        long_edges += [EdgeSegment(5, 3, c, 2, 2) for c in range(2, 6)]
+        long_edges = edges([(1, c, 6, 2) for c in range(2, 6)]
+                           + [(3, c, 2, 2) for c in range(2, 6)])
         cands = find_window_candidates(long_edges)
         assert len(cands) == 1
         assert cands[0].rect.height == 8
         assert cands[0].rect == Rect(6, 8, 8, 16)
 
     def test_no_edges_no_candidates(self):
-        assert find_window_candidates([]) == []
+        assert find_window_candidates(edges([])) == []
+        # one polarity alone pairs with nothing
+        assert find_window_candidates(edges([(1, c, 2, 2) for c in range(4)])) == []
 
     def test_same_polarity_pairs_rejected(self):
-        long_edges = [EdgeSegment(5, 1, c, 6, 2) for c in range(2, 6)]
-        long_edges += [EdgeSegment(5, 3, c, 6, 2) for c in range(2, 6)]
+        long_edges = edges([(1, c, 6, 2) for c in range(2, 6)]
+                           + [(3, c, 6, 2) for c in range(2, 6)])
         assert find_window_candidates(long_edges) == []
 
     def test_separation_range_enforced(self):
-        make = lambda rows: ([EdgeSegment(5, rows[0], 2, 6, 2)]
-                             + [EdgeSegment(5, rows[1], 2, 2, 2)])
+        make = lambda rows: edges([(rows[0], 2, 6, 2), (rows[1], 2, 2, 2)])
         assert find_window_candidates(make((1, 1))) == []          # zero separation
         assert len(find_window_candidates(make((1, 3)))) == 1
         assert find_window_candidates(make((1, 30))) == []         # beyond max
 
     def test_no_horizontal_overlap_rejected(self):
-        long_edges = [EdgeSegment(5, 1, 2, 6, 2), EdgeSegment(5, 3, 9, 2, 2)]
+        long_edges = edges([(1, 2, 6, 2), (3, 9, 2, 2)])
         assert find_window_candidates(long_edges) == []
 
     def test_nested_rectangles_deduplicated(self):
         # three parallel lines: the outermost pair is dropped
-        long_edges = [EdgeSegment(5, 1, c, 6, 2) for c in range(2, 6)]
-        long_edges += [EdgeSegment(5, 3, c, 2, 2) for c in range(2, 6)]
-        long_edges += [EdgeSegment(5, 5, c, 2, 2) for c in range(2, 6)]
+        long_edges = edges([(1, c, 6, 2) for c in range(2, 6)]
+                           + [(3, c, 2, 2) for c in range(2, 6)]
+                           + [(5, c, 2, 2) for c in range(2, 6)])
         cands = find_window_candidates(long_edges)
         heights = sorted(c.rect.height for c in cands)
         assert heights == [8]
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.08), st.integers(1, 12))
-    def test_random_edges_match_scalar_reference(self, seed, density, min_sep):
-        rng = np.random.default_rng(seed)
-        present = rng.random((16, 32, 2)) < density
-        long_edges = [EdgeSegment(5, int(r), int(c), (2, 6)[d], 2)
-                      for r, c, d in np.argwhere(present)]
-        config = PipelineConfig(pair_min_sep=min_sep)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.3), st.integers(1, 12),
+           st.integers(0, 60), st.integers(1, 20), st.integers(1, 40))
+    def test_random_edges_match_scalar_reference(self, seed, density, min_sep, extra_sep,
+                                                 rows, cols):
+        long_edges = random_long_edges(seed, rows, cols, density)
+        config = PipelineConfig(pair_min_sep=min_sep, pair_max_sep=min_sep + extra_sep)
         cands = find_window_candidates(long_edges, config)
         assert ([(c.id, c.rect) for c in cands]
-                == ref_find_window_candidates(long_edges, config))
+                == ref_find_window_candidates(long_edges.tolist(), config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.6), st.integers(1, 24),
+           st.integers(1, 40))
+    def test_edge_lines_match_reference(self, seed, density, rows, cols):
+        long_edges = random_long_edges(seed, rows, cols, density)
+        lines = sorted(as_tuples(_edge_lines(long_edges)), key=lambda ln: (ln[1], ln[3], ln[0]))
+        assert lines == ref_edge_lines(long_edges.tolist())
 
     def test_facade_covers_all_planted_rectangles(self):
         fx = synthetic_facade()
@@ -468,22 +607,22 @@ class TestSiblingSearch:
 
 class TestBuildingBoundary:
     def make_cluster(self, row, col, size=6):
-        return [EdgeSegment(5, row, col + i, 2, 2) for i in range(size)]
+        return [(row, col + i, 2, 2) for i in range(size)]
 
     def test_inside_and_outside(self):
         long_edges = [seg for row in (2, 4, 6, 8)
                       for seg in self.make_cluster(row, 2)]
-        long_edges += [EdgeSegment(5, 25, 25, 2, 2)]  # lone distant edge
+        long_edges += [(25, 25, 2, 2)]  # lone distant edge
         inside = make_candidate(1, 16, 12)
         outside = make_candidate(2, 100, 100)
-        building_boundary(long_edges, [inside, outside])
+        building_boundary(edges(long_edges), [inside, outside])
         assert inside.non_window == 0.0
         assert outside.non_window == 0.5
 
     def test_no_edges_all_zero(self):
         c = make_candidate(1, 10, 10)
         c.non_window = 0.5
-        building_boundary([], [c])
+        building_boundary(edges([]), [c])
         assert c.non_window == 0.0
 
     def test_facade_decoy_flagged(self):
@@ -496,6 +635,22 @@ class TestBuildingBoundary:
                    if any(c.rect == Rect(*w) for w in fx.windows)]
         assert len(windows) == 12
         assert all(c.non_window == 0.0 for c in windows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.3), st.integers(1, 24),
+           st.integers(1, 40), st.integers(0, 6) | st.just(10**6))
+    def test_building_box_matches_reference(self, seed, density, rows, cols, dist):
+        long_edges = random_long_edges(seed, rows, cols, density)
+        # a probe at (4k, 4m) has its center inside the box exactly when
+        # level-5 cell (k, m) is
+        probes = [make_candidate(0, 4 * k, 4 * m, height=1, width=1)
+                  for k in range(rows + 1) for m in range(cols + 1)]
+        building_boundary(long_edges, probes, PipelineConfig(cluster_distance=dist))
+        box = ref_building_box(long_edges.tolist(), dist)
+        for c in probes:
+            inside = box is None or (box[0] <= c.rect.top < box[1]
+                                     and box[2] <= c.rect.left < box[3])
+            assert c.non_window == (0.0 if inside else 0.5), (c.rect, box)
 
 
 class TestStagedBeliefInvariants:
@@ -571,3 +726,61 @@ class TestParseConfig:
     def test_bad_value(self):
         with pytest.raises(ParseError):
             parse_config("edge_threshold = many")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+pixel = st.one_of(st.floats(0.0, 255.0), st.integers(0, 255).map(float), finite)
+
+
+@st.composite
+def any_image(draw):
+    """A square image with a power-of-two side of 8 to 64: constant, one
+    planted rectangle, a grid of planted windows, scaled noise or a scatter
+    of extreme values, as floats or integers."""
+    side = draw(st.sampled_from([8, 16, 32, 64]))
+    kind = draw(st.sampled_from(["constant", "rectangle", "windows", "noise", "extreme",
+                                 "integer"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = np.full((side, side), draw(pixel))
+    if kind == "rectangle":
+        top, left = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+        height, width = draw(st.integers(1, side - top)), draw(st.integers(1, side - left))
+        image[top:top + height, left:left + width] = draw(pixel)
+    elif kind == "windows":
+        size = draw(st.integers(4, max(4, side // 3)))
+        for top in range(size, side - size, 2 * size):
+            for left in range(size, side - size, 2 * size):
+                image[top:top + size, left:left + size] -= draw(st.floats(-255.0, 255.0))
+    elif kind == "noise":
+        image = rng.uniform(-1.0, 1.0, (side, side)) * draw(finite)
+    elif kind == "extreme":
+        values = [0.0, 5e-324, -1e300, 1e300, 255.0, -2.5e300, 1.7e308]
+        image = rng.choice(draw(st.lists(st.sampled_from(values), min_size=1)), (side, side))
+    elif kind == "integer":
+        info = np.iinfo(draw(st.sampled_from([np.uint8, np.int16, np.int64])))
+        image = rng.integers(info.min, info.max, (side, side), dtype=info.dtype, endpoint=True)
+    return image
+
+
+@st.composite
+def any_config(draw):
+    min_sep = draw(st.sampled_from([1, 4]) | st.integers(1, 80))
+    return PipelineConfig(
+        edge_threshold=draw(st.sampled_from([-1.0, 0.0, 8.0, 32.0, 1e300])),
+        short_support=draw(st.integers(1, 4)), long_support=draw(st.integers(1, 4)),
+        pair_min_sep=min_sep, pair_max_sep=min_sep + draw(st.integers(0, 200)),
+        cluster_distance=draw(st.integers(0, 4)),
+        sibling_tolerance=draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_image(), any_config())
+def test_any_finite_image_runs_or_raises_dsvision_error(image, config):
+    try:
+        result = run_pipeline(image, config)
+    except DSVisionError:
+        return
+    for c in result.candidates:
+        values = (*c.supports, c.bel_a, c.bel_b, c.bel_c, c.v_sibl, c.h_sibl,
+                  c.non_window, c.conflict)
+        assert all(0.0 <= v <= 1.0 for v in values), (c.id, values)

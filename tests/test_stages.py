@@ -192,6 +192,11 @@ class TestBatchedStages:
                    rng.random()) for _ in range(20)]
         check_stages(rows_a, rows_c, window_ks, sibling_ks)
 
+    def test_default_knowledge_built_once(self):
+        # one shared source per process; it is frozen, so sharing is safe
+        assert window_knowledge() is window_knowledge()
+        assert sibling_knowledge() is sibling_knowledge()
+
     def test_scalar_call_returns_float(self):
         assert type(stage_a_belief(0.5, 0.4, 0.6, 0.6)) is float
         assert type(stage_c_belief(0.5, 0.5, 0.6, 0.0)) is float
