@@ -17,7 +17,7 @@ from .evidence import (
     vacuous,
     validate,
 )
-from .knowledge import KnowledgeSource, VerificationResult, parse_knowledge, to_simple_support, verify
+from .knowledge import KnowledgeSource, VerificationResult, parse_knowledge, verify
 from .pyramid import CandidateArea, PipelineConfig, Pyramid, build_pyramid, run_pipeline
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "KnowledgeSource",
     "VerificationResult",
     "parse_knowledge",
-    "to_simple_support",
     "verify",
     "CandidateArea",
     "PipelineConfig",

@@ -1,42 +1,16 @@
 """Feature assessment: measurements in, simple support masses out.
 
-Covers the step membership function, quality weighting, and the piecewise
-belief tables for elongation, texture and boundary evidence.  The table
-thresholds live in :class:`BeliefTables` so they can be overridden from the
-pipeline config; the defaults are the standard values.
+Covers quality weighting and the piecewise belief tables for elongation,
+texture and boundary evidence.  The table thresholds live in
+:class:`BeliefTables` so they can be overridden from the pipeline config;
+the defaults are the standard values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParamsError, OutOfRangeError
-
-
-@dataclass(frozen=True)
-class StepFunctionParams:
-    """Plateau around the typical value M: full membership within M1, the
-    plateau value t within M2, zero outside."""
-
-    m: float
-    m1: float
-    m2: float
-    t: float
-
-    def __post_init__(self):
-        if not 0 < self.m1 <= self.m2:
-            raise InvalidParamsError("need 0 < M1 <= M2")
-        if not 0 < self.t < 1:
-            raise InvalidParamsError("need 0 < t < 1")
-
-
-def step_mu(v: float, p: StepFunctionParams) -> float:
-    d = abs(v - p.m)
-    if d <= p.m1:
-        return 1.0
-    if d <= p.m2:
-        return p.t
-    return 0.0
+from .errors import OutOfRangeError
 
 
 def assess_feature(goodness: float, quality_weight: float = 1.0) -> float:

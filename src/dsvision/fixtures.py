@@ -33,14 +33,6 @@ def shutter_knowledge() -> KnowledgeSource:
     })
 
 
-def chimney_knowledge() -> KnowledgeSource:
-    return KnowledgeSource.build("chimney", SHUTTER_FRAME, {
-        "long": 0.25,
-        "next-to": 0.35,
-        "THETA": 0.4,
-    })
-
-
 def shutter_evidence() -> MassFunction:
     """The accumulated shutter evidence, combined from its three supports."""
     ms = [

@@ -17,7 +17,6 @@ from .errors import (
     NegativeLiteralInKnowledgeError,
     NormalizationError,
     ParseError,
-    UnknownAtomError,
 )
 from .evidence import (
     MASS_SUM_TOL,
@@ -27,7 +26,6 @@ from .evidence import (
     clause_subset,
     focal_fields,
     make_frame,
-    simple_support,
     text_lines,
 )
 
@@ -96,13 +94,6 @@ def verify(m_e: MassFunction, ks: KnowledgeSource) -> VerificationResult:
             if clause_subset(a, b):
                 terms.append(ma * mb)
     return VerificationResult(ks.name, math.fsum(terms))
-
-
-def to_simple_support(v: VerificationResult, target: Clause, frame: Frame) -> MassFunction:
-    """Re-inject a verified hypothesis as evidence for the next stage."""
-    if target.kind != "and" or target.neg or bin(target.pos).count("1") != 1:
-        raise UnknownAtomError("target must be a single positive atom")
-    return simple_support(frame, target, v.bel)
 
 
 def parse_knowledge(text: str) -> KnowledgeSource:

@@ -78,19 +78,23 @@ def read_pgm(path: str) -> np.ndarray:
     return pixels.astype(np.uint8, copy=False).reshape(height, width)
 
 
-def write_pgm(image: np.ndarray, path: str) -> None:
+def to_uint8(image: np.ndarray) -> np.ndarray:
+    """Pixels rounded and clipped to 0..255; uint8 pixels as they are."""
     image = np.asarray(image)
-    clipped = np.clip(np.rint(image), 0, 255).astype(np.uint8)
-    height, width = clipped.shape
+    return image if image.dtype == np.uint8 else np.clip(np.rint(image), 0, 255).astype(np.uint8)
+
+
+def write_pgm(image: np.ndarray, path: str) -> None:
+    image = to_uint8(image)
+    height, width = image.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(clipped.tobytes())
+        fh.write(image.tobytes())
 
 
 def write_ppm(rgb: np.ndarray, path: str) -> None:
-    rgb = np.asarray(rgb)
-    clipped = np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
-    height, width, _ = clipped.shape
+    rgb = to_uint8(rgb)
+    height, width, _ = rgb.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(clipped.tobytes())
+        fh.write(rgb.tobytes())

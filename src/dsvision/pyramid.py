@@ -401,48 +401,56 @@ def find_window_candidates(long_edges: np.ndarray,
     return [CandidateArea(i, Rect(*r)) for i, r in enumerate(kept.tolist(), 1)]
 
 
-def _box_sums(mask: np.ndarray, top, left, bottom, right) -> np.ndarray:
-    """Count of true cells of ``mask`` inside each [top, bottom) x
-    [left, right) box, from one summed-area table."""
-    n = mask.shape[0]
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    return table[bottom, right] - table[top, right] - table[bottom, left] + table[top, left]
+# one row per direction class, NO_EDGE (-1) in the last column: the edge
+# count (axis-aligned edges in the low 32 bits, diagonal ones above them,
+# exact for base sides up to 32768), and the vertical edge lines
+_DIRECTION_CLASSES = np.zeros((2, 9), dtype=np.int64)
+_DIRECTION_CLASSES[0, list(HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)] = 1
+_DIRECTION_CLASSES[0, list(DIAGONAL)] = 1 << 32
+_DIRECTION_CLASSES[1, list(HORIZONTAL_GRADIENT)] = 1
+
+
+def _rects(cands: list[CandidateArea]) -> np.ndarray:
+    """The candidates' (top, left, height, width) as four int rows."""
+    rects = [(c.rect.top, c.rect.left, c.rect.height, c.rect.width) for c in cands]
+    return np.array(rects, dtype=np.intp).reshape(-1, 4).T
 
 
 def measure_candidates(p: Pyramid, cands: list[CandidateArea],
                        micro: EdgeField) -> list[FeatureMeasurements]:
     """Shape, texture and boundary measurements over each candidate rect.
 
-    Edge counts come from summed-area tables of the axis-aligned and
-    diagonal micro-edges.  A side's coverage is the fraction of the rect's
-    rows holding a vertical micro-edge within one pixel of the side column,
-    read from per-column running counts of that three-column test.
+    Edge counts are sums over the rect's rows of one running count per row
+    of the axis-aligned and diagonal micro-edges.  A side's coverage is the
+    fraction of the rect's rows holding a vertical micro-edge within one
+    pixel of the side column.
     """
+    if not cands:
+        return []
     n = p.base.shape[0]
-    for c in cands:
-        r = c.rect
-        if r.top < 0 or r.left < 0 or r.bottom > n or r.right > n or min(r.height, r.width) < 1:
-            raise RectOutOfBoundsError(f"rect {r} empty or outside {n}x{n} base")
-    top, left, bottom, right = np.array(
-        [(c.rect.top, c.rect.left, c.rect.bottom, c.rect.right) for c in cands],
-        dtype=np.intp).reshape(-1, 4).T
-    d = micro.directions
-    hv = _box_sums(np.isin(d, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT), top, left, bottom, right)
-    diag = _box_sums(np.isin(d, DIAGONAL), top, left, bottom, right)
-    vertical = np.isin(d, HORIZONTAL_GRADIENT)
+    top, left, height, width = _rects(cands)
+    bottom, right = top + height, left + width
+    bad = ((np.minimum(top, left) < 0) | (np.maximum(bottom, right) > n)
+           | (np.minimum(height, width) < 1))
+    if bad.any():
+        r = cands[int(bad.argmax())].rect
+        raise RectOutOfBoundsError(f"rect {r} empty or outside {n}x{n} base")
+    codes, vertical = _DIRECTION_CLASSES.take(micro.directions, axis=1, mode="wrap")
+    counts = np.zeros((n, n + 1), dtype=np.int64)   # counts[row, k]: the row's first k pixels
+    np.cumsum(codes, axis=1, out=counts[:, 1:])
     near = vertical.copy()
     near[:, 1:] |= vertical[:, :-1]
     near[:, :-1] |= vertical[:, 1:]
-    covered = np.zeros((n + 1, n), dtype=np.int64)   # covered[r, col]: rows above r
-    covered[1:] = near.cumsum(axis=0)
-    height, width = bottom - top, right - left
+    owner, row = _ranges(top, height)
+    first = np.cumsum(height) - height   # each rect's first row in (owner, row)
+    edges = np.add.reduceat(counts[row, right[owner]] - counts[row, left[owner]], first)
+    hv, diag = edges & 0xFFFFFFFF, edges >> 32
     columns = (
         np.maximum(height, width) / np.minimum(height, width),
         (hv + diag) / (height * width),
         np.divide(hv, diag, out=np.full(len(hv), math.inf), where=diag > 0),
-        (covered[bottom, left] - covered[top, left]) / height,
-        (covered[bottom, right - 1] - covered[top, right - 1]) / height,
+        np.add.reduceat(near[row, left[owner]], first) / height,
+        np.add.reduceat(near[row, right[owner] - 1], first) / height,
     )
     return [FeatureMeasurements(*values) for values in zip(*(col.tolist() for col in columns))]
 
@@ -457,12 +465,12 @@ def stage_a_beliefs(cands: list[CandidateArea], p: Pyramid, micro: EdgeField,
                     window_ks: KnowledgeSource,
                     config: PipelineConfig = PipelineConfig()) -> None:
     """Measure each candidate and verify the feature evidence."""
-    for c, m in zip(cands, measure_candidates(p, cands, micro)):
-        c.measurements = m
-        c.supports = feature_supports(m, config.tables, config.quality_weight)
-    supports = np.array([c.supports for c in cands], dtype=np.float64).reshape(-1, 4).T
-    for c, bel in zip(cands, stage_a_belief(*supports, window_ks=window_ks).tolist()):
-        c.bel_a = bel
+    measurements = measure_candidates(p, cands, micro)
+    supports = [feature_supports(m, config.tables, config.quality_weight) for m in measurements]
+    bel_a = stage_a_belief(*np.array(supports, dtype=np.float64).reshape(-1, 4).T,
+                           window_ks=window_ks)
+    for c, m, s, bel in zip(cands, measurements, supports, bel_a.tolist()):
+        c.measurements, c.supports, c.bel_a = m, s, bel
 
 
 def sibling_search(cands: list[CandidateArea],
@@ -471,25 +479,61 @@ def sibling_search(cands: list[CandidateArea],
 
     A horizontal sibling shares the row (vertical centers within the
     tolerance) without overlapping horizontally; vertical siblings swap the
-    axes.
+    axes.  Candidates below the survivor threshold get no sibling support.
     """
-    survivors = [c for c in cands if c.bel_a >= config.survivor_threshold]
-    tol = config.sibling_tolerance * 4  # level-5 cells in base pixels
-    for c in survivors:
-        cy, cx = c.rect.center
-        h = v = 0.0
-        for other in survivors:
-            if other is c:
-                continue
-            oy, ox = other.rect.center
-            h_overlap = c.rect.left < other.rect.right and other.rect.left < c.rect.right
-            v_overlap = c.rect.top < other.rect.bottom and other.rect.top < c.rect.bottom
-            if abs(oy - cy) <= tol and not h_overlap:
-                h = config.sibling_support
-            if abs(ox - cx) <= tol and not v_overlap:
-                v = config.sibling_support
-        c.h_sibl = h
-        c.v_sibl = v
+    (bel_a,) = _columns(cands, "bel_a")
+    alive = np.flatnonzero(bel_a >= config.survivor_threshold)
+    support = np.zeros((2, len(cands)))   # h_sibl, v_sibl
+    if len(alive) > 1:   # a lone survivor has no sibling
+        top, left, height, width = _rects(cands)[:, alive]
+        bottom, right = top + height, left + width
+        cy, cx = top + height / 2.0, left + width / 2.0
+        tol = config.sibling_tolerance * 4  # level-5 cells in base pixels
+        # [i, j] for survivors i and j, a survivor never its own sibling
+        apart = ~np.eye(len(alive), dtype=bool)
+        h_overlap = (left[:, None] < right) & (left < right[:, None])
+        v_overlap = (top[:, None] < bottom) & (top < bottom[:, None])
+        h = (apart & ~h_overlap & (np.abs(cy[:, None] - cy) <= tol)).any(axis=1)
+        v = (apart & ~v_overlap & (np.abs(cx[:, None] - cx) <= tol)).any(axis=1)
+        support[:, alive] = np.where([h, v], config.sibling_support, 0.0)
+    for c, (h_sibl, v_sibl) in zip(cands, support.T.tolist()):
+        c.h_sibl, c.v_sibl = h_sibl, v_sibl
+
+
+# the four neighbours after a cell in raster order, 8-connectivity
+_FORWARD = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),
+            (np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1]))
+
+
+def _clusters(grid: np.ndarray, reach: int) -> np.ndarray:
+    """A label for each true cell of ``grid``, in raster order: cells within
+    ``reach`` of each other in both rows and columns share one.  Labels
+    order the clusters as their first cells are ordered.
+
+    Each cell stands for the a x b block of cells starting at it, a and b
+    the reach clamped to the grid.  Two such blocks touch, diagonally too,
+    exactly when their cells are within reach, so the clusters are the
+    8-connected components of the union of the blocks: one labelling of a
+    grid at most twice as large in each side, whatever the reach.  A
+    component's lowest cell is the corner of its first member cell.
+    """
+    h, w = grid.shape
+    a, b = max(1, min(reach, h)), max(1, min(reach, w))
+    # covered[y, x]: a cell in [y - a + 1, y] x [x - b + 1, x], from a
+    # summed-area table of the cells with a - 1 empty rows and b - 1 empty
+    # columns all round, and its zero row and column
+    padded = np.zeros((h + 2 * a - 1, w + 2 * b - 1), dtype=np.intp)
+    padded[a:a + h, b:b + w] = grid
+    table = padded.cumsum(axis=0).cumsum(axis=1)
+    covered = (table[a:, b:] - table[:-a, b:] - table[a:, :-b] + table[:-a, :-b]) > 0
+    # int32 ids halve the links' memory; the grid is far below 2**31 cells
+    node = np.arange(covered.size, dtype=np.int32).reshape(covered.shape)
+    label = node.ravel()
+    if reach:   # at reach 0 every cell is its own cluster
+        links = [(node[near][both], node[far][both]) for near, far in _FORWARD
+                 for both in [covered[near] & covered[far]]]
+        label = _label(label, *(np.concatenate(side) for side in zip(*links)))
+    return label[node[:h, :w][grid]]
 
 
 def building_boundary(long_edges: np.ndarray, cands: list[CandidateArea],
@@ -502,33 +546,21 @@ def building_boundary(long_edges: np.ndarray, cands: list[CandidateArea],
     cluster whose first cell in raster order comes last.  With no long
     edges at all, every candidate stays 0.
     """
-    for c in cands:
-        c.non_window = 0.0
-    if not len(long_edges) or not cands:
-        return
-    grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)
-    grid[long_edges[:, 0], long_edges[:, 1]] = True
-    rows, cols = np.nonzero(grid)
-    node = np.zeros(grid.shape, dtype=np.intp)
-    node[rows, cols] = np.arange(len(rows))
-    h, w = grid.shape
-    reach_r, reach_c = min(config.cluster_distance, h - 1), min(config.cluster_distance, w - 1)
-    label = np.arange(len(rows))
-    for dr in range(reach_r + 1):
-        for dc in range(-reach_c, reach_c + 1):
-            if dr or dc > 0:   # each pair once; one offset's links at a time
-                near = np.s_[:h - dr, max(0, -dc):w - max(0, dc)]
-                far = np.s_[dr:, max(0, dc):w - max(0, -dc)]
-                both = grid[near] & grid[far]
-                label = _label(label, node[near][both], node[far][both])
-    size = np.bincount(label)
-    members = label == np.flatnonzero(size == size.max())[-1]
-    top, bottom = rows[members].min() * 4, (rows[members].max() + 1) * 4
-    left, right = cols[members].min() * 4, (cols[members].max() + 1) * 4
-    for c in cands:
-        cy, cx = c.rect.center
-        if not (top <= cy < bottom and left <= cx < right):
-            c.non_window = config.non_window_support
+    outside = np.zeros(len(cands), dtype=bool)
+    if len(long_edges) and cands:
+        grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)
+        grid[long_edges[:, 0], long_edges[:, 1]] = True
+        rows, cols = np.nonzero(grid)
+        cluster = _clusters(grid, config.cluster_distance)
+        size = np.bincount(cluster)
+        members = cluster == np.flatnonzero(size == size.max())[-1]
+        top, left, height, width = _rects(cands)
+        cy, cx = top + height / 2.0, left + width / 2.0
+        outside = ~((rows[members].min() * 4 <= cy) & (cy < (rows[members].max() + 1) * 4)
+                    & (cols[members].min() * 4 <= cx) & (cx < (cols[members].max() + 1) * 4))
+    support = np.where(outside, config.non_window_support, 0.0)
+    for c, value in zip(cands, support.tolist()):
+        c.non_window = value
 
 
 def stage_b_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:

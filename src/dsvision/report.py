@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netpbm import write_ppm
-from .pyramid import CandidateArea, PipelineResult
+from .netpbm import to_uint8, write_ppm
+from .pyramid import CandidateArea, PipelineResult, _ranges, _rects
 
 COLUMNS = ("id", "bel_elong", "bel_text", "bel_lt_bound", "bel_rt_bound",
            "bel_wnd", "bel_v_sibl", "bel_h_sibl", "bel_wnd_b",
@@ -17,6 +17,7 @@ COLUMNS = ("id", "bel_elong", "bel_text", "bel_lt_bound", "bel_rt_bound",
 HUE_STRONG = (0, 255, 0)
 HUE_MID = (255, 255, 0)
 HUE_WEAK = (255, 0, 0)
+_HUES = np.array([HUE_STRONG, HUE_MID, HUE_WEAK], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -54,25 +55,28 @@ def format_report(rows: list[ReportRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hue(bel: float) -> tuple[int, int, int]:
-    if bel >= 0.4:
-        return HUE_STRONG
-    if bel >= 0.2:
-        return HUE_MID
-    return HUE_WEAK
-
-
 def write_overlay(image: np.ndarray, cands: list[CandidateArea], path: str) -> None:
-    """Outline each candidate rectangle, colored by its final belief."""
-    gray = np.clip(np.rint(np.asarray(image, dtype=np.float64)), 0, 255)
-    rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    for c in sorted(cands, key=lambda c: c.bel_c):
-        r = c.rect
-        color = np.array(_hue(c.bel_c), dtype=np.float64)
-        rgb[r.top, r.left:r.right] = color
-        rgb[r.bottom - 1, r.left:r.right] = color
-        rgb[r.top:r.bottom, r.left] = color
-        rgb[r.top:r.bottom, r.right - 1] = color
+    """Outline each candidate rectangle, colored by its final belief.
+
+    Outlines are drawn in order of rising belief, in list order among
+    equals, and a pixel takes the hue of the last outline drawn through it.
+    """
+    gray = to_uint8(image)
+    bel_c = np.array([c.bel_c for c in cands], dtype=np.float64)
+    order = np.argsort(bel_c, kind="stable")
+    top, left, height, width = _rects(cands)[:, order]
+    hue = 2 - (bel_c[order] >= 0.4) - (bel_c[order] >= 0.2)   # strong, middling, weak
+    across, x = _ranges(left, width)
+    down, y = _ranges(top, height)
+    # the top, bottom, left and right sides, each pixel with its drawing rank
+    pixels = np.ravel_multi_index(
+        (np.concatenate((top[across], top[across] + height[across] - 1, y, y)),
+         np.concatenate((x, x, left[down], left[down] + width[down] - 1))), gray.shape)
+    last = np.full(gray.size, -1)
+    np.maximum.at(last, pixels, np.concatenate((across, across, down, down)))
+    drawn = np.flatnonzero(last >= 0)
+    rgb = np.stack((gray, gray, gray), axis=-1)
+    rgb.reshape(-1, 3)[drawn] = _HUES[hue[last[drawn]]]
     write_ppm(rgb, path)
 
 

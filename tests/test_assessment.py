@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,15 +7,40 @@ from hypothesis import given, strategies as st
 from dsvision.assessment import (
     BeliefTables,
     FeatureMeasurements,
-    StepFunctionParams,
     assess_feature,
     boundary_belief,
     elongation_belief,
     feature_supports,
-    step_mu,
     texture_belief,
 )
 from dsvision.errors import InvalidParamsError, OutOfRangeError
+
+
+@dataclass(frozen=True)
+class StepFunctionParams:
+    """Plateau around the typical value M: full membership within M1, the
+    plateau value t within M2, zero outside."""
+
+    m: float
+    m1: float
+    m2: float
+    t: float
+
+    def __post_init__(self):
+        if not 0 < self.m1 <= self.m2:
+            raise InvalidParamsError("need 0 < M1 <= M2")
+        if not 0 < self.t < 1:
+            raise InvalidParamsError("need 0 < t < 1")
+
+
+def step_mu(v: float, p: StepFunctionParams) -> float:
+    """The step membership function of a measurement around M."""
+    d = abs(v - p.m)
+    if d <= p.m1:
+        return 1.0
+    if d <= p.m2:
+        return p.t
+    return 0.0
 
 
 class TestStepMu:

@@ -7,10 +7,11 @@ from dsvision.errors import (
     FrameMismatchError,
     NegativeLiteralInKnowledgeError,
     NormalizationError,
+    UnknownAtomError,
 )
 from dsvision.evidence import Clause, combine_all, make_frame, simple_support, vacuous
-from dsvision.fixtures import chimney_knowledge, shutter_evidence, shutter_knowledge
-from dsvision.knowledge import parse_knowledge, to_simple_support, verify
+from dsvision.fixtures import SHUTTER_FRAME, shutter_evidence, shutter_knowledge
+from dsvision.knowledge import KnowledgeSource, parse_knowledge, verify
 from dsvision.oracle import from_mass_function, oracle_verify
 from dsvision.stages import (
     SIBLING_FRAME,
@@ -18,7 +19,24 @@ from dsvision.stages import (
     stage_b_belief,
     window_knowledge,
 )
+
 from test_oracle import knowledge_to_oracle
+
+
+def to_simple_support(v, target, frame):
+    """Re-inject a verified hypothesis as evidence for the next stage."""
+    if target.kind != "and" or target.neg or bin(target.pos).count("1") != 1:
+        raise UnknownAtomError("target must be a single positive atom")
+    return simple_support(frame, target, v.bel)
+
+
+def chimney_knowledge():
+    return KnowledgeSource.build("chimney", SHUTTER_FRAME, {
+        "long": 0.25,
+        "next-to": 0.35,
+        "THETA": 0.4,
+    })
+
 
 SHUTTER_TEXT = """
 hypothesis shutter

@@ -6,7 +6,8 @@ from dsvision.errors import CorruptHeaderError, TruncatedDataError, UnsupportedF
 from dsvision.fixtures import synthetic_facade
 from dsvision.netpbm import _tokenize_header, read_pgm, write_pgm, write_ppm
 from dsvision.pyramid import CandidateArea, Rect
-from dsvision.report import ReportRow, format_report, write_overlay
+from dsvision.report import (HUE_MID, HUE_STRONG, HUE_WEAK, ReportRow, format_report,
+                             write_overlay)
 
 
 WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -233,6 +234,21 @@ class TestReadPgm:
         assert np.array_equal(read_pgm(str(path)), image)
 
 
+def ref_write_overlay(image, cands, path):
+    """Reference: each outline painted in turn, lowest final belief first,
+    over a float64 copy of the image."""
+    gray = np.clip(np.rint(np.asarray(image, dtype=np.float64)), 0, 255)
+    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    for c in sorted(cands, key=lambda c: c.bel_c):
+        r = c.rect
+        color = HUE_STRONG if c.bel_c >= 0.4 else HUE_MID if c.bel_c >= 0.2 else HUE_WEAK
+        rgb[r.top, r.left:r.right] = color
+        rgb[r.bottom - 1, r.left:r.right] = color
+        rgb[r.top:r.bottom, r.left] = color
+        rgb[r.top:r.bottom, r.right - 1] = color
+    write_ppm(rgb, path)
+
+
 def make_row(rid, bel_c, bel_a=0.4):
     return ReportRow(rid, 0.5, 0.4, 0.6, 0.6, bel_a, 0.6, 0.6, bel_c, 0.0, bel_c)
 
@@ -276,6 +292,36 @@ class TestOverlay:
         assert tuple(rgb[4, 8]) == (0, 255, 0)       # top edge, strong hue
         assert tuple(rgb[8, 4]) == (0, 255, 0)       # left edge
         assert tuple(rgb[8, 8]) == (0, 0, 0)         # interior untouched
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 24),
+           st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+                              st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9])), max_size=12))
+    def test_matches_reference_painting(self, tmp_path_factory, seed, side, specs):
+        # rects that cross and share beliefs: the later candidate among equals
+        # is painted last; pixels below 0, above 255 and at .5 rounding
+        image = np.random.default_rng(seed).uniform(-20, 280, (side, side)).round(1)
+        cands = []
+        for i, (top, left, height, width, bel_c) in enumerate(specs, 1):
+            top, left = int(top * (side - 1)), int(left * (side - 1))
+            rect = Rect(top, left, 1 + int(height * (side - top - 1)),
+                        1 + int(width * (side - left - 1)))
+            c = CandidateArea(i, rect)
+            c.bel_c = bel_c
+            cands.append(c)
+        work = tmp_path_factory.mktemp("overlay")
+        write_overlay(image, cands, str(work / "a.ppm"))
+        ref_write_overlay(image, cands, str(work / "b.ppm"))
+        assert (work / "a.ppm").read_bytes() == (work / "b.ppm").read_bytes()
+
+    def test_uint8_written_as_is(self, tmp_path):
+        rgb = np.random.default_rng(3).integers(0, 256, size=(5, 7, 3)).astype(np.uint8)
+        for name, pixels in (("plain", rgb), ("view", rgb[::-1, 1:])):
+            a, b = tmp_path / f"{name}_u8.ppm", tmp_path / f"{name}_f64.ppm"
+            write_ppm(pixels, str(a))
+            write_ppm(pixels.astype(np.float64), str(b))
+            assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "plain_u8.ppm").read_bytes().endswith(rgb.tobytes())
 
     def test_deterministic_bytes(self, tmp_path):
         fx = synthetic_facade()

@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
+from dsvision import pyramid
 from dsvision.errors import (BadDimensionsError, DSVisionError, InvalidParamsError,
                              OutOfRangeError, ParseError, RectOutOfBoundsError)
 from dsvision.fixtures import synthetic_facade
@@ -554,6 +556,14 @@ class TestMeasureFeatures:
             with pytest.raises(RectOutOfBoundsError):
                 measure_candidates(p, [inside, CandidateArea(2, rect)], micro)
 
+    def test_out_of_bounds_names_the_first_bad_rect(self):
+        p = build_pyramid(np.zeros((16, 16)))
+        cands = [CandidateArea(1, Rect(0, 0, 4, 4)), CandidateArea(2, Rect(4, 4, 0, 4)),
+                 CandidateArea(3, Rect(10, 10, 8, 8))]
+        with pytest.raises(RectOutOfBoundsError, match=r"^rect Rect\(top=4, left=4, height=0, "
+                                                       r"width=4\) empty or outside 16x16 base$"):
+            measure_candidates(p, cands, edge_field(16, []))
+
     def test_painted_window_is_axis_dominated(self):
         fx = synthetic_facade()
         result = run_pipeline(fx.image)
@@ -569,6 +579,29 @@ def make_candidate(cid, top, left, height=12, width=16, bel_a=0.4):
     c = CandidateArea(cid, Rect(top, left, height, width))
     c.bel_a = bel_a
     return c
+
+
+def ref_sibling_search(cands, config=PipelineConfig()):
+    """Reference: every ordered pair of survivors tested in turn; the
+    (h_sibl, v_sibl) of each candidate, 0 for the others."""
+    survivors = [c for c in cands if c.bel_a >= config.survivor_threshold]
+    tol = config.sibling_tolerance * 4
+    found = {}
+    for c in survivors:
+        cy, cx = c.rect.center
+        h = v = 0.0
+        for other in survivors:
+            if other is c:
+                continue
+            oy, ox = other.rect.center
+            h_overlap = c.rect.left < other.rect.right and other.rect.left < c.rect.right
+            v_overlap = c.rect.top < other.rect.bottom and other.rect.top < c.rect.bottom
+            if abs(oy - cy) <= tol and not h_overlap:
+                h = config.sibling_support
+            if abs(ox - cx) <= tol and not v_overlap:
+                v = config.sibling_support
+        found[id(c)] = (h, v)
+    return [found.get(id(c), (0.0, 0.0)) for c in cands]
 
 
 class TestSiblingSearch:
@@ -603,6 +636,34 @@ class TestSiblingSearch:
         b = make_candidate(2, 10, 18)  # horizontally overlapping
         sibling_search([a, b])
         assert a.h_sibl == 0.0 and b.h_sibl == 0.0
+
+    def test_second_call_clears_dropped_candidates(self):
+        cands = [make_candidate(1, 10, 10, bel_a=0.4), make_candidate(2, 10, 40, bel_a=0.5)]
+        sibling_search(cands)
+        assert [c.h_sibl for c in cands] == [0.6, 0.6]
+        # a higher threshold drops the first; the second loses its only sibling
+        sibling_search(cands, PipelineConfig(survivor_threshold=0.45))
+        assert [(c.h_sibl, c.v_sibl) for c in cands] == [(0.0, 0.0), (0.0, 0.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 20),
+                              st.integers(0, 20), st.sampled_from([-1e-9, 0.0, 1e-9, -1.0])),
+                    max_size=12),
+           st.floats(0.0, 1.0), st.integers(0, 4), st.floats(0.0, 1.0))
+    def test_matches_reference(self, specs, threshold, tolerance, support):
+        # small coordinates, so rects often touch, nest or share a center
+        # (empty ones too, which overlap nothing, not even themselves);
+        # beliefs just below, at and above the threshold, or far below it
+        config = PipelineConfig(survivor_threshold=threshold, sibling_tolerance=tolerance,
+                                sibling_support=support)
+        cands = []
+        for i, (top, left, height, width, offset) in enumerate(specs, 1):
+            c = make_candidate(i, top, left, height, width, bel_a=threshold + offset)
+            c.h_sibl = c.v_sibl = 0.9   # stale values from an earlier call
+            cands.append(c)
+        want = ref_sibling_search(cands, config)
+        sibling_search(cands, config)
+        assert [(c.h_sibl, c.v_sibl) for c in cands] == want
 
 
 class TestBuildingBoundary:
@@ -639,6 +700,14 @@ class TestBuildingBoundary:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.3), st.integers(1, 24),
            st.integers(1, 40), st.integers(0, 6) | st.just(10**6))
+    # a density of 1 fills every cell: a 1x1 grid, a full and a sparse row,
+    # a full and a sparse column
+    @example(0, 1.0, 1, 1, 2)
+    @example(0, 1.0, 1, 1, 10**6)
+    @example(1, 1.0, 1, 9, 0)
+    @example(2, 0.2, 1, 40, 2)
+    @example(3, 1.0, 12, 1, 1)
+    @example(4, 0.2, 24, 1, 3)
     def test_building_box_matches_reference(self, seed, density, rows, cols, dist):
         long_edges = random_long_edges(seed, rows, cols, density)
         # a probe at (4k, 4m) has its center inside the box exactly when
@@ -651,6 +720,35 @@ class TestBuildingBoundary:
             inside = box is None or (box[0] <= c.rect.top < box[1]
                                      and box[2] <= c.rect.left < box[3])
             assert c.non_window == (0.0 if inside else 0.5), (c.rect, box)
+
+    @pytest.mark.parametrize("dist", [1, 2, 10**6])
+    def test_one_labelling_call(self, monkeypatch, dist):
+        calls = []
+
+        def counted(label, i, j):
+            calls.append(len(i))
+            return _label(label, i, j)
+
+        result = run_pipeline(synthetic_facade().image)
+        monkeypatch.setattr(pyramid, "_label", counted)
+        building_boundary(result.long_edges, result.candidates,
+                          PipelineConfig(cluster_distance=dist))
+        assert len(calls) == 1
+
+    def test_peak_memory_linear_in_the_grid(self):
+        # every cell of a 64x64 grid, each within reach of every other: all
+        # (dr, dc) offsets' links at once would take over 100 MB
+        cells = np.argwhere(np.ones((64, 64), dtype=bool))
+        long_edges = np.column_stack((cells, np.full((len(cells), 2), 2)))
+        cands = [make_candidate(1, 8, 8)]
+        tracemalloc.start()
+        try:
+            building_boundary(long_edges, cands, PipelineConfig(cluster_distance=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cands[0].non_window == 0.0
+        assert peak < 1024 * len(cells)   # under 4 MB: a constant per grid cell
 
 
 class TestStagedBeliefInvariants:
