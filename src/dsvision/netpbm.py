@@ -8,7 +8,9 @@ import numpy as np
 
 from .errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 
-_P2_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+_BLOCK = 1 << 16   # bytes of P2 body decoded at once
+_DIGITS = b"0123456789"
+_NON_DIGIT = re.compile(rb"[^0-9]")
 
 # whitespace and comments, then the next token: both parts always match (a
 # token is only empty at the end of the data), so the regex never backtracks
@@ -34,48 +36,103 @@ def _tokenize_header(data: bytes, count: int, start: int = 0) -> tuple[list[int]
     return tokens, i + 1
 
 
-def _p2_samples(body: bytes) -> np.ndarray:
-    """The samples of a P2 body: ASCII digit runs separated by whitespace.
+def _clamped(token: bytes) -> int:
+    """A P2 token's value, or 1000 for any value above 999 (beyond every
+    maxval), so that no token is too long to convert."""
+    digits = token.lstrip(b"0")
+    return int(digits or b"0") if len(digits) < 4 else 1000
 
-    Any other byte, anywhere in the body, is an error, so a sign, a digit
-    separator, a comment or trailing text never reaches the parse.  The
-    whitespace bytes are those of ``bytes.split()``.
+
+def _block_values(data: bytes, lo: int, hi: int) -> np.ndarray:
+    """The values of the tokens in ``data[lo:hi]``, clamped by `_clamped`.
+
+    No token crosses an end of the block: ``data[lo - 1]`` or ``data[lo]``
+    is a non-digit byte, and so is ``data[hi - 1]`` unless `hi` ends the
+    data.  Any byte of the block other than a digit or one of the six
+    whitespace bytes of ``bytes.split()`` is an error.
     """
-    if body.translate(None, _P2_BYTES):
+    raw = np.frombuffer(data, np.uint8, hi - lo + 3, lo - 3)   # and the 3 bytes before it
+    digit = raw - np.uint8(48)
+    is_digit = digit < 10
+    block = raw[3:]
+    if (np.count_nonzero(is_digit[3:]) + np.count_nonzero(block == 32)
+            + np.count_nonzero(block - np.uint8(9) < 5)) != hi - lo:
         raise TruncatedDataError("non-numeric sample in P2 data")
-    if not body or body.isspace():
-        # fromstring reads a whitespace-only string as one phantom 0
-        return np.empty(0, dtype=np.int64)
-    return np.fromstring(body, dtype=np.int64, sep=" ")
+    digit *= is_digit
+    ends = np.flatnonzero(is_digit[3:-1] > is_digit[4:])   # a digit, then a non-digit
+    if is_digit[-1]:
+        ends = np.append(ends, hi - lo - 1)
+    # each token's last three digits: non-digits are 0, and a hundreds digit
+    # counts only if the byte after it is a digit too
+    value = (digit[1:-2] * is_digit[2:-1]) * np.uint16(100)
+    value += digit[2:-1] * np.uint8(10) + digit[3:]
+    values = value[ends]
+    pairs = is_digit[1:] & is_digit[:-1]
+    if (pairs[2:] & pairs[:-2]).any():   # a run of four digits or more
+        long = np.flatnonzero((is_digit[:-3] & is_digit[1:-2] & is_digit[2:-1])[ends])
+        tokens = data[lo:hi].split()
+        values[long] = [_clamped(tokens[i]) for i in long]
+    return values
+
+
+def _p2_samples(data: bytes, start: int, size: int, maxval: int) -> np.ndarray:
+    """The first `size` samples of the P2 body ``data[start:]``: ASCII digit
+    runs separated by whitespace.
+
+    The body is decoded in blocks of about `_BLOCK` bytes, each cut just
+    after a non-digit byte, so no token spans two blocks and no array is
+    larger than a few blocks.  Every token is counted, but only the first
+    `size` are kept and checked against `maxval`.
+    """
+    samples = np.empty(size, dtype=np.uint8)
+    count = high = 0
+    pos, end = start, len(data)
+    while pos < end:
+        stop = min(pos + _BLOCK, end)
+        cut = stop - pos if stop == end else len(data[pos:stop].rstrip(_DIGITS))
+        if cut:
+            values = _block_values(data, pos, pos + cut)
+            pos += cut
+        else:   # a token runs past the block: take it whole
+            match = _NON_DIGIT.search(data, stop)
+            stop = match.start() if match else end
+            values = np.array([_clamped(data[pos:stop])], dtype=np.uint16)
+            pos = stop
+        kept = values[:max(size - count, 0)]
+        if kept.size:
+            samples[count:count + kept.size] = kept
+            high = max(high, int(kept.max()))
+        count += values.size
+    if count < size:
+        raise TruncatedDataError(f"expected {size} samples, got {count}")
+    if high > maxval:
+        raise TruncatedDataError("sample outside [0, maxval]")
+    return samples
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) or ASCII (P2) PGM with maxval <= 255."""
     with open(path, "rb") as fh:
         data = fh.read()
-        magic = data[:2]
-        if magic not in (b"P2", b"P5"):
-            raise UnsupportedFormatError(f"not a PGM file (magic {magic!r})")
-        (width, height, maxval), offset = _tokenize_header(data, 3, 2)
-        if maxval > 255:
-            raise UnsupportedFormatError(f"maxval {maxval} > 255 unsupported")
-        if maxval <= 0:
-            raise CorruptHeaderError(f"bad maxval {maxval}")
-        if magic == b"P5":
-            pixels, unit = np.frombuffer(data, dtype=np.uint8, offset=offset), "pixels"
-        else:
-            # read apart, so the file and its body are never in memory together
-            del data
-            fh.seek(offset)
-            pixels, unit = _p2_samples(fh.read()), "samples"
-    if pixels.size < width * height:
-        raise TruncatedDataError(f"expected {width * height} {unit}, got {pixels.size}")
-    pixels = pixels[:width * height]
-    # a P5 byte is at most 255; a P2 token has no sign, and one beyond int64
-    # saturates to its maximum, so only the top of the range can be broken
-    if pixels.size and (magic == b"P2" or maxval < 255) and pixels.max() > maxval:
+    magic = data[:2]
+    if magic not in (b"P2", b"P5"):
+        raise UnsupportedFormatError(f"not a PGM file (magic {magic!r})")
+    (width, height, maxval), offset = _tokenize_header(data, 3, 2)
+    if maxval > 255:
+        raise UnsupportedFormatError(f"maxval {maxval} > 255 unsupported")
+    if maxval <= 0:
+        raise CorruptHeaderError(f"bad maxval {maxval}")
+    size = width * height
+    if magic == b"P2":
+        return _p2_samples(data, offset, size, maxval).reshape(height, width)
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    if pixels.size < size:
+        raise TruncatedDataError(f"expected {size} pixels, got {pixels.size}")
+    pixels = pixels[:size]
+    # a P5 byte is at most 255, so only a lower maxval can be broken
+    if size and maxval < 255 and pixels.max() > maxval:
         raise TruncatedDataError("sample outside [0, maxval]")
-    return pixels.astype(np.uint8, copy=False).reshape(height, width)
+    return pixels.reshape(height, width)
 
 
 def to_uint8(image: np.ndarray) -> np.ndarray:

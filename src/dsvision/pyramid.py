@@ -32,6 +32,9 @@ DIAGONAL = (1, 3, 5, 7)
 
 NO_EDGE = -1
 
+# the side of the level-7 base that larger images are reduced to
+BASE_SIDE = 128
+
 # the largest pixel magnitude accepted: block means and gradient sums of
 # such pixels stay far from overflow
 MAX_PIXEL = 1e300
@@ -146,11 +149,30 @@ class Pyramid:
         return self.levels[-1]
 
 
+def _block_means(image: np.ndarray, k: int) -> np.ndarray:
+    """The float64 means of an image's k x k blocks.
+
+    Integer pixels are summed in an integer type wide enough for k * k of
+    them, then divided once.  While those sums stay within 2**53 this gives
+    the bits of a float64 `mean`, whose partial sums of the same integers
+    are exact too.  Other images take the `mean` itself.
+    """
+    if np.issubdtype(image.dtype, np.integer):
+        info = np.iinfo(image.dtype)
+        low, high = k * k * int(info.min), k * k * int(info.max)
+        if max(-low, high) <= 2**53:
+            wide = np.result_type(image.dtype, np.min_scalar_type(low), np.min_scalar_type(high))
+            rows = sum((image[i::k] for i in range(1, k)), image[0::k].astype(wide))
+            return sum((rows[:, j::k] for j in range(1, k)), rows[:, 0::k]) / float(k * k)
+    n = image.shape[0] // k
+    return image.reshape(n, k, n, k).mean(axis=(1, 3))
+
+
 def build_pyramid(image: np.ndarray) -> Pyramid:
     """Stack an image into a pyramid by 2x2 block averaging.
 
-    A 512x512 input is first reduced to 128x128 (4x4 block average) to
-    match the base-level-7 configuration.
+    A side above 128 is first reduced to the 128x128 base of level 7 by
+    block means; a smaller side is its own base.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
@@ -163,9 +185,8 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
         image = image.astype(np.float64, copy=False)
         if not (np.abs(image) <= MAX_PIXEL).all():   # also NaN
             raise OutOfRangeError(f"image has a NaN pixel or one beyond ±{MAX_PIXEL:g}")
-    if side == 512:   # float64 means, without a float64 copy of integer pixels
-        image = image.reshape(128, 4, 128, 4).mean(axis=(1, 3))
-        side = 128
+    if side > BASE_SIDE:
+        image, side = _block_means(image, side // BASE_SIDE), BASE_SIDE
     levels = [image.astype(np.float64, copy=False)]
     while side > 1:
         side //= 2

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +19,11 @@ HUE_MID = (255, 255, 0)
 HUE_WEAK = (255, 0, 0)
 _HUES = np.array([HUE_STRONG, HUE_MID, HUE_WEAK], dtype=np.uint8)
 
+_HEADER = "\t".join(COLUMNS)
+_ROW = "%s" + "\t%.3f" * (len(COLUMNS) - 1)   # a row is the id and ten beliefs
 
-@dataclass(frozen=True)
-class ReportRow:
+
+class ReportRow(NamedTuple):
     id: str
     bel_elong: float
     bel_text: float
@@ -34,11 +36,6 @@ class ReportRow:
     bel_non: float
     bel_c: float
 
-    def values(self) -> tuple[float, ...]:
-        return (self.bel_elong, self.bel_text, self.bel_lt, self.bel_rt,
-                self.bel_a, self.bel_v, self.bel_h, self.bel_b,
-                self.bel_non, self.bel_c)
-
 
 def row_from_candidate(c: CandidateArea) -> ReportRow:
     supports = c.supports if c.supports is not None else (0.0, 0.0, 0.0, 0.0)
@@ -49,10 +46,7 @@ def row_from_candidate(c: CandidateArea) -> ReportRow:
 def format_report(rows: list[ReportRow]) -> str:
     """Tab-separated report, three decimals, best final belief first."""
     ordered = sorted(rows, key=lambda r: (-r.bel_c, r.id))
-    lines = ["\t".join(COLUMNS)]
-    for row in ordered:
-        lines.append("\t".join([row.id] + [f"{v:.3f}" for v in row.values()]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([_HEADER, *(_ROW % row for row in ordered)]) + "\n"
 
 
 def write_overlay(image: np.ndarray, cands: list[CandidateArea], path: str) -> None:

@@ -1,7 +1,13 @@
+import os
+import threading
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsvision import netpbm
 from dsvision.errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 from dsvision.fixtures import synthetic_facade
 from dsvision.netpbm import _tokenize_header, read_pgm, write_pgm, write_ppm
@@ -92,6 +98,16 @@ def outcome(read):
         return type(exc), str(exc)
 
 
+def assert_reads_as_reference(path, width, height, maxval, body):
+    got = outcome(lambda: read_pgm(path))
+    want = outcome(lambda: ref_p2_pixels(body, width, height, maxval))
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint8
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
 gaps = st.lists(st.sampled_from([bytes([b]) for b in WHITESPACE]),
                 min_size=1, max_size=3).map(b"".join)
 
@@ -164,15 +180,16 @@ class TestReadPgm:
     @settings(max_examples=300, deadline=None)
     @given(p2_files())
     def test_p2_equals_reference(self, tmp_path_factory, case):
-        width, height, maxval, body = case
-        path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", width, height, maxval, body)
-        got = outcome(lambda: read_pgm(path))
-        want = outcome(lambda: ref_p2_pixels(body, width, height, maxval))
-        if isinstance(want, np.ndarray):
-            assert isinstance(got, np.ndarray) and got.dtype == np.uint8
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
+        path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", *case)
+        assert_reads_as_reference(path, *case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p2_files(), st.integers(1, 8))
+    def test_p2_equals_reference_in_small_blocks(self, tmp_path_factory, case, block):
+        # blocks of 1-8 bytes: every token and gap meets a block edge
+        path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", *case)
+        with mock.patch.object(netpbm, "_BLOCK", block):
+            assert_reads_as_reference(path, *case)
 
     @settings(max_examples=200, deadline=None)
     @given(p2_files(), st.sampled_from(list(b"+-_#xZ")), st.data())
@@ -183,6 +200,98 @@ class TestReadPgm:
         path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", width, height, maxval, body)
         with pytest.raises(TruncatedDataError):
             read_pgm(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p2_files(), st.sampled_from(list(b"+-_#xZ")), st.data(), st.integers(1, 8))
+    def test_p2_foreign_byte_rejected_in_small_blocks(self, tmp_path_factory, case, byte, data,
+                                                      block):
+        width, height, maxval, body = case
+        at = data.draw(st.integers(0, len(body)))
+        body = body[:at] + bytes([byte]) + body[at:]
+        path = write_p2(tmp_path_factory.mktemp("p2") / "img.pgm", width, height, maxval, body)
+        with mock.patch.object(netpbm, "_BLOCK", block):
+            with pytest.raises(TruncatedDataError, match="non-numeric sample in P2 data"):
+                read_pgm(path)
+
+    @pytest.mark.parametrize("case, error", [
+        ("valid", None),
+        ("beyond_int64", r"sample outside \[0, maxval\]"),
+        ("short", "expected 262144 samples, got 262139"),
+        ("foreign", "non-numeric sample in P2 data")])
+    def test_p2_512_body_on_real_block_edges(self, tmp_path, case, error):
+        # a 512x512 body of ~2 MB: every third token has leading zeros up
+        # to 4-30 digits, gaps are runs of the six whitespace bytes, and
+        # tokens beyond int64 follow the last sample
+        rng = np.random.default_rng(9)
+        n = 512 * 512
+        tokens = [str(v).encode() for v in rng.integers(0, 256, n)]
+        for i, width in zip(range(0, n, 3), rng.integers(4, 31, n)):
+            tokens[i] = tokens[i].rjust(width, b"0")
+        tokens += [b"9" * 25, b"18446744073709551616", b"0" * 40]
+        if case == "beyond_int64":
+            tokens[n - 1000] = b"9223372036854775808"
+        elif case == "short":
+            del tokens[n - 5:]
+        elif case == "foreign":
+            tokens[n // 2] += b"-"
+        runs = [bytes(rng.choice(list(WHITESPACE), rng.integers(1, 4)).tolist())
+                for _ in range(64)]
+        body = b"".join(runs[i] + token for i, token in zip(rng.integers(0, 64, len(tokens)),
+                                                             tokens))
+        path = write_p2(tmp_path / "img.pgm", 512, 512, 255, body)
+        blocks = []
+
+        def spy(data, lo, hi):
+            blocks.append((data, hi))
+            return block_values(data, lo, hi)
+
+        block_values = netpbm._block_values
+        with mock.patch.object(netpbm, "_block_values", spy):
+            assert_reads_as_reference(path, 512, 512, 255, body)
+            if error is None:
+                assert read_pgm(path).shape == (512, 512)
+            else:
+                with pytest.raises(TruncatedDataError, match=error):
+                    read_pgm(path)
+        # some block was cut short of a token of four digits or more
+        assert any(data[hi:hi + 4].isdigit() for data, hi in blocks)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, netpbm._BLOCK])
+    def test_p2_tokens_after_the_samples_ignored(self, tmp_path, block):
+        # above maxval or beyond int64, in blocks that start past the samples
+        body = b"1 2 3 300 300 " + b"300 99999999999999999999999 18446744073709551616 7 " * 4
+        with mock.patch.object(netpbm, "_BLOCK", block):
+            assert read_pgm(write_p2(tmp_path / "a.pgm", 2, 1, 255, body)).tolist() == [[1, 2]]
+
+    def test_p2_peak_memory(self, tmp_path):
+        # a 512x512 body of 0.94 MB: a body-sized int64 array alone would
+        # take 2 MB, where the uint8 samples take 0.26 MB
+        image = np.random.default_rng(3).integers(0, 256, (512, 512), dtype=np.uint8)
+        rows = (" ".join(map(str, row)) for row in image.tolist())
+        path = write_p2(tmp_path / "big.pgm", 512, 512, 255, "\n".join(rows).encode())
+        tracemalloc.start()
+        try:
+            pixels = read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(pixels, image)
+        assert peak < 2 * 1024 * 1024
+
+    def test_p2_from_a_pipe(self, tmp_path):
+        # the file is read once, with no seek back to the body
+        image = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        fifo = tmp_path / "img.pgm"
+        os.mkfifo(fifo)
+        data = b"P2\n8 8\n255\n" + " ".join(map(str, image.ravel().tolist())).encode()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            pixels = read_pgm(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(pixels, image)
 
     @pytest.mark.parametrize("body", [b"+5 1 2 3", b"1_0 1 2 3", b"1 2 3 4 end", b"1 2 3 4 # note",
                                       b"1 2 3 4 -5"])

@@ -227,6 +227,35 @@ class TestBuildPyramid:
         assert p.base.shape == (128, 128)
         assert np.all(p.base == 77.0)
 
+    @pytest.mark.parametrize("side", [8, 16, 32, 64, 128, 256, 1024, 2048])
+    def test_every_side_above_128_reduces_to_128(self, side):
+        p = build_pyramid(np.full((side, side), 77, dtype=np.uint8))
+        assert p.base.shape == (min(side, 128),) * 2
+        assert p.base_level == min(side, 128).bit_length() - 1
+        assert np.all(p.base == 77.0)
+
+    @pytest.mark.parametrize("side", [256, 512, 1024])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int16, np.uint32,
+                                       np.int32, np.uint64, np.int64, np.float64])
+    def test_block_means_are_float_means(self, dtype, side):
+        # random pixels, some blocks all at an extreme of the type: the
+        # reduction has the bits of a float64 mean over each block
+        rng = np.random.default_rng(side)
+        if dtype is np.float64:
+            low, high = -1e300, 1e300
+            image = rng.uniform(low, high, (side, side))
+        else:
+            low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+            image = rng.integers(low, high, (side, side), dtype=dtype, endpoint=True)
+        image[rng.random((side, side)) < 0.2] = low
+        image[rng.random((side, side)) < 0.2] = high
+        image[:side // 4, :side // 4] = high
+        image[-side // 4:, :side // 4] = low
+        k = side // 128
+        want = image.reshape(128, k, 128, k).mean(axis=(1, 3))
+        base = build_pyramid(image).base
+        assert base.dtype == np.float64 and base.tobytes() == want.tobytes()
+
     def test_bad_dimensions(self):
         with pytest.raises(BadDimensionsError):
             build_pyramid(np.zeros((100, 100)))
@@ -262,7 +291,7 @@ class TestBuildPyramid:
         with pytest.raises(OutOfRangeError):
             build_pyramid(image)
 
-    @pytest.mark.parametrize("side", [16, 128, 512])
+    @pytest.mark.parametrize("side", [16, 128, 256, 512, 1024])
     def test_integer_image_equals_float_image(self, side):
         image = np.random.default_rng(side).integers(0, 256, (side, side)).astype(np.uint8)
         for ints, floats in zip(build_pyramid(image).levels,
@@ -858,6 +887,26 @@ def any_image(draw):
         info = np.iinfo(draw(st.sampled_from([np.uint8, np.int16, np.int64])))
         image = rng.integers(info.min, info.max, (side, side), dtype=info.dtype, endpoint=True)
     return image
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 4, 8]), st.sampled_from([np.uint8, np.int16, np.int64]),
+       st.sampled_from(["facade", "noise", "blocks"]), st.integers(0, 2**32 - 1))
+def test_upsampled_integer_image_gives_the_original_report(k, dtype, kind, seed):
+    # a k x k block of equal integers has that integer as its exact mean
+    rng = np.random.default_rng(seed)
+    if kind == "facade":
+        original = np.rint(synthetic_facade().image + rng.normal(0, 8, (128, 128)))
+    elif kind == "noise":
+        original = rng.integers(0, 256, (128, 128))
+    else:
+        original = np.kron(rng.choice([0, 90, 255], (16, 16)), np.ones((8, 8)))
+    original = original.astype(dtype)
+    upsampled = original.repeat(k, axis=0).repeat(k, axis=1)
+    want, got = run_pipeline(original), run_pipeline(upsampled)
+    assert got.pyramid.base.tobytes() == want.pyramid.base.tobytes()
+    assert (format_report(report_from_result(got))
+            == format_report(report_from_result(want)))
 
 
 @st.composite

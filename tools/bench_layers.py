@@ -1,5 +1,6 @@
-"""Wall time of ``run_pipeline``, of its edge-to-candidate layers and of
-the candidate layers after them, down to the overlay.
+"""Wall time of ``read_pgm`` and ``run_pipeline``, of the pyramid and
+edge-to-candidate layers and of the candidate layers after them, down to
+the report and the overlay.
 
 usage: python tools/bench_layers.py OUT.json NAME=REPO_ROOT [NAME=REPO_ROOT ...]
 
@@ -56,11 +57,14 @@ with tempfile.TemporaryDirectory() as work:
         micro = pyramid.extract_micro_edges(p, config)
         short = pyramid.aggregate_short_edges(p, micro, config)
         long_edges = pyramid.aggregate_long_edges(p, short, config)
-        cands = pyramid.run_pipeline(image).candidates
         window_ks = stages.window_knowledge()
         overlay = os.path.join(work, name + ".ppm")
+        result = pyramid.run_pipeline(image)
+        cands = result.candidates
         calls = {
+            "read_pgm": lambda: netpbm.read_pgm(path),
             "run_pipeline": lambda: pyramid.run_pipeline(image),
+            "build_pyramid": lambda: pyramid.build_pyramid(image),
             "aggregate_short_edges": lambda: pyramid.aggregate_short_edges(p, micro, config),
             "aggregate_long_edges": lambda: pyramid.aggregate_long_edges(p, short, config),
             "find_window_candidates": lambda: pyramid.find_window_candidates(long_edges, config),
@@ -69,6 +73,7 @@ with tempfile.TemporaryDirectory() as work:
             "stage_a_beliefs": lambda: pyramid.stage_a_beliefs(cands, p, micro, window_ks, config),
             "sibling_search": lambda: pyramid.sibling_search(cands, config),
             "write_overlay": lambda: report.write_overlay(p.base, cands, overlay),
+            "format_report": lambda: report.format_report(report.report_from_result(result)),
         }
         row = {f: round(min(timeit.repeat(call, repeat=repeats, number=number)) / number * 1e3, 4)
                for f, call in calls.items()}
