@@ -15,7 +15,6 @@ from .evidence import (
     make_frame,
     simple_support,
     vacuous,
-    validate,
 )
 from .knowledge import KnowledgeSource, VerificationResult, parse_knowledge, verify
 from .pyramid import CandidateArea, PipelineConfig, Pyramid, build_pyramid, run_pipeline
@@ -35,7 +34,6 @@ __all__ = [
     "make_frame",
     "simple_support",
     "vacuous",
-    "validate",
     "KnowledgeSource",
     "VerificationResult",
     "parse_knowledge",

@@ -29,6 +29,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise DSVisionError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DSVisionError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -289,20 +289,6 @@ def simple_support(frame: Frame, focal: Clause, s: float) -> MassFunction:
     return MassFunction(frame, focals)
 
 
-def validate(m: MassFunction) -> list[str]:
-    """Check the basic-probability-assignment axioms; empty list means ok."""
-    violations = []
-    total = math.fsum(mass for _, mass in m.items())
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        violations.append(f"masses sum to {total:.12g}, expected 1")
-    for clause, mass in m.items():
-        if mass <= 0:
-            violations.append(f"non-positive mass {mass:.12g} on {clause}")
-        if clause.frame != m.frame:
-            violations.append(f"focal {clause} over a foreign frame")
-    return violations
-
-
 def belief(m: MassFunction, a: Clause) -> float:
     """Bel(a): total mass of focals contained in ``a``."""
     _check_same_frame(m, a)

@@ -117,6 +117,9 @@ def read_pgm(path: str) -> np.ndarray:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise UnsupportedFormatError(f"not a PGM file (magic {magic!r})")
+    # the magic number ends at whitespace or a comment, never at a token byte
+    if data[2:3] and not (data[2:3].isspace() or data[2:3] == b"#"):
+        raise CorruptHeaderError(f"no whitespace after magic {magic!r}")
     (width, height, maxval), offset = _tokenize_header(data, 3, 2)
     if maxval > 255:
         raise UnsupportedFormatError(f"maxval {maxval} > 255 unsupported")
@@ -128,7 +131,8 @@ def read_pgm(path: str) -> np.ndarray:
     pixels = np.frombuffer(data, dtype=np.uint8, offset=offset)
     if pixels.size < size:
         raise TruncatedDataError(f"expected {size} pixels, got {pixels.size}")
-    pixels = pixels[:size]
+    # copied out of the file's bytes, as a view of them would be read-only
+    pixels = pixels[:size].copy()
     # a P5 byte is at most 255, so only a lower maxval can be broken
     if size and maxval < 255 and pixels.max() > maxval:
         raise TruncatedDataError("sample outside [0, maxval]")

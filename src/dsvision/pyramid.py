@@ -12,6 +12,7 @@ All stages are pure functions of (image, config).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,17 +137,23 @@ def parse_config(text: str) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class Pyramid:
-    """Square grids halving in side per level; the image sits at the base."""
+    """Square grids halving in side per level; the image sits at the base.
+    The pipeline reads only the base: the levels are built on first read."""
 
-    levels: tuple[np.ndarray, ...]  # levels[L] has side 2^L
+    base: np.ndarray   # side 2^base_level
 
     @property
     def base_level(self) -> int:
-        return len(self.levels) - 1
+        return self.base.shape[0].bit_length() - 1
 
-    @property
-    def base(self) -> np.ndarray:
-        return self.levels[-1]
+    @functools.cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """levels[L] has side 2^L; the base is the last."""
+        levels, side = [self.base], self.base.shape[0]
+        while side > 1:
+            side //= 2
+            levels.append(levels[-1].reshape(side, 2, side, 2).mean(axis=(1, 3)))
+        return tuple(reversed(levels))
 
 
 def _block_means(image: np.ndarray, k: int) -> np.ndarray:
@@ -186,13 +193,8 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
         if not (np.abs(image) <= MAX_PIXEL).all():   # also NaN
             raise OutOfRangeError(f"image has a NaN pixel or one beyond ±{MAX_PIXEL:g}")
     if side > BASE_SIDE:
-        image, side = _block_means(image, side // BASE_SIDE), BASE_SIDE
-    levels = [image.astype(np.float64, copy=False)]
-    while side > 1:
-        side //= 2
-        levels.append(levels[-1].reshape(side, 2, side, 2).mean(axis=(1, 3)))
-    levels.reverse()
-    return Pyramid(tuple(levels))
+        image = _block_means(image, side // BASE_SIDE)
+    return Pyramid(image.astype(np.float64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -225,18 +227,26 @@ def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -
     gy = row_weighted[2:, :] - row_weighted[:-2, :]
     mag = np.abs(gx) + np.abs(gy)
     hit = mag >= config.edge_threshold
-    quantized = np.round(np.degrees(np.arctan2(gy, gx)) / 45.0).astype(np.int64) % 8
     directions = np.full((n, n), NO_EDGE, dtype=np.int8)
     magnitudes = np.zeros((n, n), dtype=np.float64)
-    directions[1:n - 1, 1:n - 1] = np.where(hit, quantized, NO_EDGE)
+    directions[1:n - 1, 1:n - 1] = np.where(hit, _octants(np.arctan2(gy, gx)), NO_EDGE)
     magnitudes[1:n - 1, 1:n - 1] = np.where(hit, mag, 0.0)
     return EdgeField(directions, magnitudes)
+
+
+def _octants(angle: np.ndarray) -> np.ndarray:
+    """Angles in [-pi, pi] rounded to multiples of 45 degrees, 0..7, as int8:
+    those of ``round(degrees(angle) / 45) % 8`` for every float64 angle,
+    which the tests check within 4096 ulps of each half step."""
+    return np.rint(angle * (4.0 / np.pi)).astype(np.int8) & 7   # -4 and 4 both give 4
 
 
 def _edge_rows(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The kept cells of a level's (row, col, direction) count grid as rows
     of (row, col, direction, count), in row, column, direction order."""
-    return np.column_stack((np.argwhere(keep), counts[keep]))
+    flat = np.flatnonzero(keep)
+    cell, direction = np.divmod(flat, keep.shape[2])
+    return np.column_stack((*np.divmod(cell, keep.shape[1]), direction, counts.take(flat)))
 
 
 def aggregate_short_edges(p: Pyramid, micro: EdgeField,
@@ -245,8 +255,10 @@ def aggregate_short_edges(p: Pyramid, micro: EdgeField,
     enough of its four children agree on it.  One (row, col, direction,
     count) row per short edge."""
     n = p.base.shape[0]
-    rows, cols = np.nonzero(micro.directions != NO_EDGE)
-    key = ((rows // 2) * (n // 2) + cols // 2) * 8 + micro.directions[rows, cols]
+    directions = micro.directions.reshape(-1)
+    flat = np.flatnonzero(directions != NO_EDGE)
+    rows, cols = np.divmod(flat, micro.directions.shape[1])
+    key = ((rows // 2) * (n // 2) + cols // 2) * 8 + directions[flat]
     counts = np.bincount(key, minlength=(n // 2) ** 2 * 8).reshape(n // 2, n // 2, 8)
     return _edge_rows(counts, counts >= config.short_support)
 
@@ -341,13 +353,15 @@ def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
     (on the cell boundary when two rows responded, at the cell center when
     one did).  Horizontal runs are linked where they touch on adjacent rows.
     """
-    edges = long_edges[np.isin(long_edges[:, 2], VERTICAL_GRADIENT)]
+    direction = long_edges[:, 2]
+    edges = long_edges[(direction == VERTICAL_GRADIENT[0]) | (direction == VERTICAL_GRADIENT[1])]
     shape = (2, edges[:, 0].max(initial=0) + 1, edges[:, 1].max(initial=0) + 3)
     cells = np.zeros(shape, dtype=np.int8)
     cells[edges[:, 2] // 4, edges[:, 0], edges[:, 1] + 1] = 1
     step = np.diff(cells, axis=2)
-    plane, row, start = np.nonzero(step == 1)
-    end = np.nonzero(step == -1)[2] - 1
+    plane_row, start = np.divmod(np.flatnonzero(step == 1), step.shape[2])
+    plane, row = np.divmod(plane_row, step.shape[1])
+    end = np.flatnonzero(step == -1) % step.shape[2] - 1
     run = np.cumsum(step == 1).reshape(step.shape)[..., :-1] - 1   # each cell's run
     vertical = (cells[:, :-1] & cells[:, 1:])[..., 1:-1].astype(bool)
     root = _label(np.arange(len(row)), run[:, :-1][vertical], run[:, 1:][vertical])

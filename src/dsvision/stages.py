@@ -14,7 +14,9 @@ table of cube masses, one row per candidate, and no mass function or clause
 object is built per candidate.  The table holds the same floating-point
 products, in the same order, that ``combine_all`` forms, and the belief is
 the same ``math.fsum`` that ``verify`` takes, so results are bit for bit
-those of the clause algebra.  The shorter product form of the belief
+those of the clause algebra.  Few distinct rows recur (the supports come
+from step tables), so each stage remembers the belief of every row it has
+verified, per knowledge source.  The shorter product form of the belief
 (prod s_i for a conjunction, 1 - prod(1 - s_i) for a disjunction) is equal
 only to within rounding, and that shows in the printed third decimal.
 """
@@ -63,16 +65,21 @@ def sibling_knowledge() -> KnowledgeSource:
     })
 
 
-def _rows(*supports) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """The supports broadcast to one shape and flattened to rows, with that
-    shape; each must lie in [0, 1], as ``simple_support`` requires."""
+_MEMO_ROWS = 4096   # a stage's memo is cleared when it would grow past this
+
+
+def _rows(*supports) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The supports broadcast to one shape and stacked into an (N, k) table,
+    one row per area, with that shape; each must lie in [0, 1], as
+    ``simple_support`` requires."""
     arrays = np.broadcast_arrays(*(np.asarray(s, dtype=np.float64) for s in supports))
-    rows = [a.reshape(-1) for a in arrays]
-    for s in rows:
-        outside = ~((s >= 0.0) & (s <= 1.0))   # also NaN
-        if outside.any():
-            raise NormalizationError(f"support {float(s[outside][0])} outside [0, 1]")
-    return rows, arrays[0].shape
+    table = np.stack(arrays, axis=-1).reshape(-1, len(arrays))
+    outside = ~((table >= 0.0) & (table <= 1.0))   # also NaN
+    if outside.any():
+        column = outside.any(axis=0).argmax()   # the first support checked
+        raise NormalizationError(
+            f"support {float(table[outside[:, column], column][0])} outside [0, 1]")
+    return table, arrays[0].shape
 
 
 def _shaped(values: np.ndarray, shape: tuple[int, ...]):
@@ -128,20 +135,62 @@ def _verify(ks: KnowledgeSource, factors: list[tuple[list[tuple[int, int]], np.n
     return np.array([math.fsum(row) for row in terms.tolist()], dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=16)
+def _memo(ks: KnowledgeSource, factors) -> dict[bytes, float]:
+    """One stage's beliefs so far under one source, by support-row bytes."""
+    return {}
+
+
+def _beliefs(ks: KnowledgeSource, factors, table: np.ndarray) -> np.ndarray:
+    """``_verify(ks, factors(ks, table))``, with the rows not yet in the
+    memo verified in one batch.  A row is looked up by its float64 bytes,
+    so 0.0 and -0.0 stay apart.  An empty memo runs its batch even with no
+    rows, so a source whose frame lacks the stage's atoms always raises.
+    """
+    memo = _memo(ks, factors)
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel().tolist()
+    values = [memo.get(key) for key in keys]
+    todo = {keys[i]: i for i, value in enumerate(values) if value is None}
+    if todo or not memo:
+        fresh = dict(zip(todo, _verify(ks, factors(ks, table[list(todo.values())])).tolist()))
+        values = [fresh[key] if value is None else value for key, value in zip(keys, values)]
+        if len(memo) + len(fresh) > _MEMO_ROWS:
+            memo.clear()
+        if len(fresh) <= _MEMO_ROWS:
+            memo.update(fresh)
+    return np.array(values, dtype=np.float64)
+
+
+def _feature_factors(ks: KnowledgeSource, table: np.ndarray):
+    return [_simple(ks, atom, s) for atom, s in zip(FEATURE_ATOMS, table.T)]
+
+
+def _sibling_factors(ks: KnowledgeSource, table: np.ndarray):
+    return [_simple(ks, atom, s) for atom, s in zip(SIBLING_ATOMS, table.T)]
+
+
+def _conflict_factors(ks: KnowledgeSource, table: np.ndarray):
+    a, nw, v, h = table.T
+    scale = 1.0 / (1.0 - a * nw)
+    bit = 1 << ks.frame.index("window")
+    states = ([(0, 0), (bit, 0), (0, bit)],
+              np.stack([(1.0 - a) * (1.0 - nw) * scale, a * (1.0 - nw) * scale,
+                        (1.0 - a) * nw * scale], axis=1))
+    return [states, _simple(ks, "v-sibl", v), _simple(ks, "h-sibl", h)]
+
+
 def stage_a_belief(elong, text, lt, rt, window_ks: KnowledgeSource | None = None):
     """Belief in the window hypothesis from shape/texture/boundary evidence."""
     ks = window_ks if window_ks is not None else window_knowledge()
-    supports, shape = _rows(elong, text, lt, rt)
-    factors = [_simple(ks, atom, s) for atom, s in zip(FEATURE_ATOMS, supports)]
-    return _shaped(_verify(ks, factors), shape)
+    table, shape = _rows(elong, text, lt, rt)
+    return _shaped(_beliefs(ks, _feature_factors, table), shape)
 
 
 def stage_b_belief(window, v_sibl, h_sibl, sibling_ks: KnowledgeSource | None = None):
     """Belief after the lateral sibling search."""
     ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
-    supports, shape = _rows(window, v_sibl, h_sibl)
-    factors = [_simple(ks, atom, s) for atom, s in zip(SIBLING_ATOMS, supports)]
-    return _shaped(_verify(ks, factors), shape)
+    table, shape = _rows(window, v_sibl, h_sibl)
+    return _shaped(_beliefs(ks, _sibling_factors, table), shape)
 
 
 def _window_conflict(a: np.ndarray, nw: np.ndarray) -> np.ndarray:
@@ -164,19 +213,14 @@ def stage_c_belief(window, non_window, v_sibl, h_sibl,
     each one product times 1/(1 - K), as ``combine`` forms them.
     """
     ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
-    (a, nw, v, h), shape = _rows(window, non_window, v_sibl, h_sibl)
-    scale = 1.0 / (1.0 - _window_conflict(a, nw))
-    bit = 1 << ks.frame.index("window")
-    states = ([(0, 0), (bit, 0), (0, bit)],
-              np.stack([(1.0 - a) * (1.0 - nw) * scale, a * (1.0 - nw) * scale,
-                        (1.0 - a) * nw * scale], axis=1))
-    factors = [states, _simple(ks, "v-sibl", v), _simple(ks, "h-sibl", h)]
-    return _shaped(_verify(ks, factors), shape)
+    table, shape = _rows(window, non_window, v_sibl, h_sibl)
+    _window_conflict(table[:, 0], table[:, 1])
+    return _shaped(_beliefs(ks, _conflict_factors, table), shape)
 
 
 def stage_c_conflict(window, non_window):
     """Stage C's combination conflict, as ``combine_all`` reports it: one
     minus the product of the steps' 1 - K, where only the first step has a
     conflict."""
-    (a, nw), shape = _rows(window, non_window)
-    return _shaped(1.0 - (1.0 - _window_conflict(a, nw)), shape)
+    table, shape = _rows(window, non_window)
+    return _shaped(1.0 - (1.0 - _window_conflict(table[:, 0], table[:, 1])), shape)

@@ -85,6 +85,23 @@ class TestCombine:
         assert main(["combine", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_not_utf8(self, tmp_path, capsys, facade_pgm):
+        """A text input that is not UTF-8 exits 2 with one line, wherever it
+        is read: mass, evidence, knowledge and config files."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfeframe a\n")
+        good = tmp_path / "a.mass"
+        good.write_text(MASS_A)
+        for argv in (["combine", str(bad)],
+                     ["verify", "--evidence", str(bad), "--knowledge", str(good)],
+                     ["verify", "--evidence", str(good), "--knowledge", str(bad)],
+                     ["pipeline", facade_pgm, "--knowledge", str(bad)],
+                     ["pipeline", facade_pgm, "--config", str(bad)]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot read {bad}: not UTF-8 text\n"
+
 
 class TestVerify:
     def test_worked_example(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from dsvision.errors import (
     TotalConflictError,
 )
 from dsvision.evidence import (
+    MASS_SUM_TOL,
     Clause,
     MassFunction,
     belief,
@@ -25,12 +26,25 @@ from dsvision.evidence import (
     parse_mass_text,
     simple_support,
     vacuous,
-    validate,
 )
 
 
 def conj(frame, *literals):
     return Clause.conjunction(frame, literals)
+
+
+def validate(m: MassFunction) -> list[str]:
+    """Check the basic-probability-assignment axioms; empty list means ok."""
+    violations = []
+    total = math.fsum(mass for _, mass in m.items())
+    if abs(total - 1.0) > MASS_SUM_TOL:
+        violations.append(f"masses sum to {total:.12g}, expected 1")
+    for clause, mass in m.items():
+        if mass <= 0:
+            violations.append(f"non-positive mass {mass:.12g} on {clause}")
+        if clause.frame != m.frame:
+            violations.append(f"focal {clause} over a foreign frame")
+    return violations
 
 
 class TestMakeFrame:

@@ -322,6 +322,31 @@ class TestReadPgm:
         with pytest.raises(CorruptHeaderError):
             read_pgm(str(path))
 
+    @pytest.mark.parametrize("magic", [b"P2", b"P5"])
+    def test_token_run_into_the_magic_rejected(self, tmp_path, magic):
+        path = tmp_path / "img.pgm"
+        body = b"7 " if magic == b"P2" else b"\x07"
+        for header in (b"1 1 255\n", b"55 1 255\n", b"x 1 1 255\n"):
+            path.write_bytes(magic + header + body)
+            with pytest.raises(CorruptHeaderError, match="no whitespace after magic"):
+                read_pgm(str(path))
+        for separator in (b" ", b"\t", b"\n", b"#c\n", b"\r\n# c\n "):
+            path.write_bytes(magic + separator + b"1 1 255\n" + body)
+            assert read_pgm(str(path)).tolist() == [[7]]
+
+    @pytest.mark.parametrize("ascii_", [False, True], ids=["P5", "P2"])
+    def test_image_writable_and_its_own(self, tmp_path, ascii_):
+        image = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        path = tmp_path / "img.pgm"
+        if ascii_:
+            path.write_text("P2\n8 8\n255\n" + " ".join(map(str, image.ravel())) + "\n")
+        else:
+            write_pgm(image, str(path))
+        pixels = read_pgm(str(path))
+        assert pixels.flags.writeable
+        pixels[0, 0] = 99
+        assert np.array_equal(read_pgm(str(path)), image)
+
     @settings(max_examples=400, deadline=None)
     @given(st.lists(header_pieces, max_size=12).map(b"".join), st.integers(1, 4))
     def test_header_tokens_match_reference_walk(self, data, count):

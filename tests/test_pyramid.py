@@ -16,10 +16,12 @@ from dsvision.pyramid import (
     CandidateArea,
     EdgeField,
     PipelineConfig,
+    MAX_PIXEL,
     VERTICAL_GRADIENT,
     Rect,
     _edge_lines,
     _label,
+    _octants,
     aggregate_long_edges,
     aggregate_short_edges,
     build_pyramid,
@@ -37,6 +39,37 @@ from dsvision.report import format_report, report_from_result, write_overlay
 def edges(rows):
     """(row, col, direction, count) edge rows as the aggregates return them."""
     return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def degree_chain(angle):
+    """Reference: the quantization ``extract_micro_edges`` used before
+    ``_octants``, through degrees."""
+    return np.round(np.degrees(angle) / 45.0).astype(np.int64) % 8
+
+
+def reference_micro_edges(image, threshold):
+    """Reference: the micro-edge grids of a base image, directions by the
+    degree chain."""
+    n = image.shape[0]
+    col_weighted = image[:-2, :] + 2.0 * image[1:-1, :] + image[2:, :]
+    row_weighted = image[:, :-2] + 2.0 * image[:, 1:-1] + image[:, 2:]
+    gx = col_weighted[:, 2:] - col_weighted[:, :-2]
+    gy = row_weighted[2:, :] - row_weighted[:-2, :]
+    mag = np.abs(gx) + np.abs(gy)
+    hit = mag >= threshold
+    directions = np.full((n, n), NO_EDGE, dtype=np.int8)
+    magnitudes = np.zeros((n, n))
+    directions[1:-1, 1:-1] = np.where(hit, degree_chain(np.arctan2(gy, gx)), NO_EDGE)
+    magnitudes[1:-1, 1:-1] = np.where(hit, mag, 0.0)
+    return directions, magnitudes
+
+
+def assert_micro_edges_match_reference(image, threshold):
+    micro = extract_micro_edges(build_pyramid(image), PipelineConfig(edge_threshold=threshold))
+    directions, magnitudes = reference_micro_edges(image, threshold)
+    assert micro.directions.dtype == np.int8
+    assert micro.directions.tobytes() == directions.tobytes()
+    assert micro.magnitudes.tobytes() == magnitudes.tobytes()
 
 
 def as_tuples(rows):
@@ -299,6 +332,22 @@ class TestBuildPyramid:
             assert ints.dtype == floats.dtype == np.float64
             assert np.array_equal(ints, floats)
 
+    @pytest.mark.parametrize("side", [16, 128, 256, 512, 1024])
+    def test_lazy_levels_equal_eager_levels(self, side):
+        """The levels above the base, built when first read, equal the 2x2
+        means ``build_pyramid`` used to stack at once."""
+        image = np.random.default_rng(side).integers(0, 256, (side, side)).astype(np.uint8)
+        for pixels in (image, image.astype(np.float64)):
+            p = build_pyramid(pixels)
+            assert "levels" not in vars(p)   # only the base is built
+            eager = [p.base]
+            while len(eager[-1]) > 1:
+                half = len(eager[-1]) // 2
+                eager.append(eager[-1].reshape(half, 2, half, 2).mean(axis=(1, 3)))
+            assert p.base_level == len(eager) - 1 == min(side, 128).bit_length() - 1
+            assert [level.tobytes() for level in p.levels] == [e.tobytes() for e in eager[::-1]]
+            assert p.levels[-1] is p.base and p.levels is p.levels
+
     def test_parent_cells_average_children(self):
         rng = np.random.default_rng(5)
         image = rng.uniform(0, 255, size=(16, 16))
@@ -335,6 +384,42 @@ class TestExtractMicroEdges:
         p = build_pyramid(step_image(low=100.0, high=105.0))
         micro = extract_micro_edges(p, PipelineConfig(edge_threshold=32.0))
         assert micro.count() == 0
+
+    def test_octants_equal_degree_chain_near_every_half_step(self):
+        """Every float64 angle within 4096 ulps of each odd multiple of 22.5
+        degrees, and of 0 and +-180, where the two roundings could part."""
+        for multiple in range(-8, 9):
+            step = multiple * np.pi / 8
+            ulp = np.spacing(max(abs(step), np.pi / 8))
+            angle = np.clip(step + np.arange(-4096, 4097) * ulp, -np.pi, np.pi)
+            assert np.array_equal(_octants(angle), degree_chain(angle)), multiple
+        angle = np.random.default_rng(3).uniform(-np.pi, np.pi, 100_000)
+        assert np.array_equal(_octants(angle), degree_chain(angle))
+        assert _octants(np.array([-np.pi, np.pi])).tolist() == [4, 4]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-MAX_PIXEL, MAX_PIXEL), st.integers(0, 255)),
+                    min_size=64, max_size=64),
+           st.one_of(st.floats(-MAX_PIXEL, 0.0), st.floats(-1e3, 1e3), st.just(0.0)))
+    def test_any_finite_image_matches_reference(self, pixels, threshold):
+        # a threshold <= 0 makes zero gradients, of either sign, edges too
+        assert_micro_edges_match_reference(np.array(pixels, dtype=np.float64).reshape(8, 8),
+                                           threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-8, 8), st.floats(-1e-12, 1e-12), st.floats(1e-3, 1e6),
+           st.floats(-1.0, 1e6))
+    def test_gradients_at_a_half_step_match_reference(self, multiple, offset, radius,
+                                                     threshold):
+        """The gradient at cell (1, 1) is set exactly: with every other
+        pixel 0, gx is twice pixel (1, 2) and gy twice pixel (2, 1)."""
+        angle = (multiple + 0.5) * np.pi / 4 + offset
+        image = np.zeros((8, 8))
+        image[1, 2], image[2, 1] = radius * np.cos(angle) / 2, radius * np.sin(angle) / 2
+        assert_micro_edges_match_reference(image, threshold)
+        micro = extract_micro_edges(build_pyramid(image), PipelineConfig(edge_threshold=0.0))
+        assert micro.directions[1, 1] == degree_chain(np.arctan2(2 * image[2, 1],
+                                                                 2 * image[1, 2]))
 
 
 def edge_field(side, cells, direction=2):

@@ -144,6 +144,16 @@ def check_stages(rows_a, rows_c, window_ks, sibling_ks):
         assert stage_c_belief(*row, sibling_ks) == c
 
 
+def cold_beliefs(ks, factors, table):
+    """Each row of a support table verified on its own, no memo read."""
+    return np.array([stages._verify(ks, factors(ks, table[i:i + 1]))[0]
+                     for i in range(len(table))])
+
+
+# supports with both zeros, and the ends of the interval
+supports = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324]))
+
+
 def table_values(bands):
     return sorted({value for _, value in bands} | {0.0})
 
@@ -192,6 +202,47 @@ class TestBatchedStages:
                    rng.random()) for _ in range(20)]
         check_stages(rows_a, rows_c, window_ks, sibling_ks)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[supports] * 4), min_size=1, max_size=6),
+           st.lists(st.tuples(st.sampled_from("abc"), st.lists(st.integers(0, 5), max_size=6)),
+                    min_size=1, max_size=8),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_memo_equals_cold_verify(self, pool, calls, seed):
+        """Calls in any order, on rows drawn from a small pool so that they
+        repeat, give each row the bits of its own cold ``_verify``."""
+        if seed is None:
+            window_ks, sibling_ks = window_knowledge(), sibling_knowledge()
+        else:
+            rng = random.Random(seed)
+            extra = [f"x{i}" for i in range(rng.randint(0, 2))]
+            window_ks, sibling_ks = (
+                random_knowledge(rng, make_frame(rng.sample(atoms + extra, len(atoms + extra))))
+                for atoms in (list(FEATURE_ATOMS), list(SIBLING_ATOMS)))
+        for stage, picks in calls:
+            table = np.array([pool[i % len(pool)] for i in picks]).reshape(-1, 4)
+            if stage == "a":
+                got = stage_a_belief(*table.T, window_ks=window_ks)
+                want = cold_beliefs(window_ks, stages._feature_factors, table)
+            elif stage == "b":
+                got = stage_b_belief(*table[:, :3].T, sibling_ks)
+                want = cold_beliefs(sibling_ks, stages._sibling_factors, table[:, :3])
+            else:
+                table = table[table[:, 0] * table[:, 1] < 1.0 - evidence.TOTAL_CONFLICT_TOL]
+                got = stage_c_belief(*table.T, sibling_ks)
+                want = cold_beliefs(sibling_ks, stages._conflict_factors, table)
+            assert got.tobytes() == want.tobytes()
+
+    def test_memo_stays_bounded(self):
+        ks = random_knowledge(random.Random(7), make_frame(FEATURE_ATOMS))
+        rng = np.random.default_rng(7)
+        for size in (1000, 3000, stages._MEMO_ROWS + 1, 10, 10):
+            table = rng.random((size, 4))
+            table[::3] = table[0]   # repeated rows within a call
+            got = stage_a_belief(*table.T, window_ks=ks)
+            assert len(stages._memo(ks, stages._feature_factors)) <= stages._MEMO_ROWS
+            want = stages._verify(ks, stages._feature_factors(ks, table))
+            assert got.tobytes() == want.tobytes()
+
     def test_default_knowledge_built_once(self):
         # one shared source per process; it is frozen, so sharing is safe
         assert window_knowledge() is window_knowledge()
@@ -214,6 +265,7 @@ class TestBatchedStages:
         pyramid.stage_c_beliefs([], sibling_knowledge())
 
     def test_total_conflict(self):
+        stage_c_belief(0.5, 0.5, 0.0, 0.0)   # known rows do not skip the check
         with pytest.raises(TotalConflictError):
             stage_c_belief(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(TotalConflictError):
@@ -233,6 +285,9 @@ class TestBatchedStages:
         ks = KnowledgeSource.build("window", short, {"elong": 0.5, "THETA": 0.5})
         with pytest.raises(UnknownAtomError):
             stage_a_belief(0.5, 0.4, 0.6, 0.6, window_ks=ks)
+        for _ in range(2):   # also with no rows to verify, every time
+            with pytest.raises(UnknownAtomError):
+                stage_a_belief(*[np.zeros(0)] * 4, window_ks=ks)
         no_window = make_frame(["v-sibl", "h-sibl"])
         ks = KnowledgeSource.build("window", no_window, {"v-sibl": 1.0})
         with pytest.raises(UnknownAtomError):
@@ -247,6 +302,21 @@ class TestPipelineBeliefs:
         result = run_pipeline(synthetic_facade().image)
         assert any(c.conflict > 0 for c in result.candidates)
         for c in result.candidates:
+            assert c.bel_a == ref_stage_a(*c.supports, window_ks)
+            assert c.bel_b == ref_stage_b(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks)
+            assert (c.bel_c, c.conflict) == ref_stage_c(c.bel_a, c.non_window, c.v_sibl,
+                                                        c.h_sibl, sibling_ks)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.9), st.floats(0.0, 1.0))
+    def test_configs_match_references(self, quality_weight, sibling_support,
+                                      non_window_support, survivor_threshold):
+        """Beliefs through the memo, whatever rows earlier runs left in it."""
+        config = pyramid.PipelineConfig(
+            quality_weight=quality_weight, sibling_support=sibling_support,
+            non_window_support=non_window_support, survivor_threshold=survivor_threshold)
+        window_ks, sibling_ks = window_knowledge(), sibling_knowledge()
+        for c in run_pipeline(synthetic_facade().image, config).candidates:
             assert c.bel_a == ref_stage_a(*c.supports, window_ks)
             assert c.bel_b == ref_stage_b(c.bel_a, c.v_sibl, c.h_sibl, sibling_ks)
             assert (c.bel_c, c.conflict) == ref_stage_c(c.bel_a, c.non_window, c.v_sibl,

@@ -11,7 +11,10 @@ all of them.  Every time is the minimum over those rounds and over
 on three inputs read through ``netpbm.read_pgm``: the
 bundled facade as P5, a 512x512 ASCII P2 4x upsample of a seeded facade and
 a seeded 128x128 Gaussian noise image.  The layer inputs come from the
-checkout's own earlier layers, so each layer is timed on its own.
+checkout's own earlier layers, so each layer is timed on its own.  A
+checkout that remembers stage beliefs holds them from the ``run_pipeline``
+call that made the candidates, so its stage times are those of inputs seen
+before, as in a run over a fixed set of images.
 """
 
 import json
@@ -57,7 +60,7 @@ with tempfile.TemporaryDirectory() as work:
         micro = pyramid.extract_micro_edges(p, config)
         short = pyramid.aggregate_short_edges(p, micro, config)
         long_edges = pyramid.aggregate_long_edges(p, short, config)
-        window_ks = stages.window_knowledge()
+        window_ks, sibling_ks = stages.window_knowledge(), stages.sibling_knowledge()
         overlay = os.path.join(work, name + ".ppm")
         result = pyramid.run_pipeline(image)
         cands = result.candidates
@@ -65,13 +68,16 @@ with tempfile.TemporaryDirectory() as work:
             "read_pgm": lambda: netpbm.read_pgm(path),
             "run_pipeline": lambda: pyramid.run_pipeline(image),
             "build_pyramid": lambda: pyramid.build_pyramid(image),
+            "extract_micro_edges": lambda: pyramid.extract_micro_edges(p, config),
             "aggregate_short_edges": lambda: pyramid.aggregate_short_edges(p, micro, config),
             "aggregate_long_edges": lambda: pyramid.aggregate_long_edges(p, short, config),
             "find_window_candidates": lambda: pyramid.find_window_candidates(long_edges, config),
-            "building_boundary": lambda: pyramid.building_boundary(long_edges, cands, config),
             "measure_candidates": lambda: pyramid.measure_candidates(p, cands, micro),
             "stage_a_beliefs": lambda: pyramid.stage_a_beliefs(cands, p, micro, window_ks, config),
             "sibling_search": lambda: pyramid.sibling_search(cands, config),
+            "stage_b_beliefs": lambda: pyramid.stage_b_beliefs(cands, sibling_ks),
+            "building_boundary": lambda: pyramid.building_boundary(long_edges, cands, config),
+            "stage_c_beliefs": lambda: pyramid.stage_c_beliefs(cands, sibling_ks),
             "write_overlay": lambda: report.write_overlay(p.base, cands, overlay),
             "format_report": lambda: report.format_report(report.report_from_result(result)),
         }
