@@ -14,7 +14,6 @@ from .evidence import (
     combine_all,
     make_frame,
     simple_support,
-    vacuous,
 )
 from .knowledge import KnowledgeSource, VerificationResult, parse_knowledge, verify
 from .pyramid import CandidateArea, PipelineConfig, Pyramid, build_pyramid, run_pipeline
@@ -33,7 +32,6 @@ __all__ = [
     "combine_all",
     "make_frame",
     "simple_support",
-    "vacuous",
     "KnowledgeSource",
     "VerificationResult",
     "parse_knowledge",

@@ -4,42 +4,39 @@ Covers quality weighting and the piecewise belief tables for elongation,
 texture and boundary evidence.  The table thresholds live in
 :class:`BeliefTables` so they can be overridden from the pipeline config;
 the defaults are the standard values.
+
+Every function takes numbers for one area or equal-length arrays with one
+entry per candidate, and returns a number or an array to match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OutOfRangeError
 
 
-def assess_feature(goodness: float, quality_weight: float = 1.0) -> float:
+def _in_unit(values: np.ndarray) -> np.ndarray:
+    return (values >= 0.0) & (values <= 1.0)
+
+
+def _checked(values, ok, message: str) -> np.ndarray:
+    """The values as a float64 array; an OutOfRangeError names the first
+    one that ``ok`` rejects.  Every check here rejects NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~ok(values)
+    if bad.any():
+        raise OutOfRangeError(message.format(float(values[bad][0])))
+    return values
+
+
+def assess_feature(goodness, quality_weight=1.0):
     """Fold feature goodness and data quality into one probability mass."""
-    if not 0.0 <= goodness <= 1.0:
-        raise OutOfRangeError(f"goodness {goodness} outside [0, 1]")
-    if not 0.0 <= quality_weight <= 1.0:
-        raise OutOfRangeError(f"quality weight {quality_weight} outside [0, 1]")
-    return goodness * quality_weight
-
-
-@dataclass(frozen=True)
-class FeatureMeasurements:
-    """Raw measurements of a candidate area."""
-
-    elongation: float
-    edgedness: float
-    hv_d: float  # may be math.inf when there are no diagonal edges
-    left_boundary: float
-    right_boundary: float
-
-    def __post_init__(self):
-        if self.elongation < 1.0:
-            raise OutOfRangeError(f"elongation {self.elongation} < 1")
-        if self.edgedness < 0.0:
-            raise OutOfRangeError("edgedness must be non-negative")
-        for side in (self.left_boundary, self.right_boundary):
-            if not 0.0 <= side <= 1.0:
-                raise OutOfRangeError(f"boundary support {side} outside [0, 1]")
+    goodness = _checked(goodness, _in_unit, "goodness {} outside [0, 1]")
+    quality_weight = _checked(quality_weight, _in_unit, "quality weight {} outside [0, 1]")
+    return (goodness * quality_weight)[()]
 
 
 @dataclass(frozen=True)
@@ -61,45 +58,43 @@ class BeliefTables:
 DEFAULT_TABLES = BeliefTables()
 
 
-def elongation_belief(e: float, tables: BeliefTables = DEFAULT_TABLES) -> float:
-    if e < 1.0:
-        raise OutOfRangeError(f"elongation {e} < 1")
-    for bound, value in tables.elongation_bands:
-        if e <= bound:
-            return value
-    return 0.0
+def _bands(values: np.ndarray, bands, meets) -> np.ndarray:
+    """The value of the first band whose threshold ``meets`` accepts, 0
+    where none does.  The bands are applied last first, so that an earlier
+    match overwrites a later one."""
+    out = np.zeros(values.shape)
+    for bound, value in reversed(bands):
+        out = np.where(meets(values, bound), value, out)
+    return out
 
 
-def texture_belief(edgedness: float, hv_d: float,
-                   tables: BeliefTables = DEFAULT_TABLES) -> float:
+def elongation_belief(e, tables: BeliefTables = DEFAULT_TABLES):
+    e = _checked(e, lambda v: v >= 1.0, "elongation {} outside [1, inf]")
+    return _bands(e, tables.elongation_bands, np.less_equal)[()]
+
+
+def texture_belief(edgedness, hv_d, tables: BeliefTables = DEFAULT_TABLES):
     """Interior texture: few micro-edges, or overwhelmingly axis-aligned
     ones, both support the window reading.  Branch order matters."""
-    if edgedness < tables.low_edgedness:
-        return tables.low_edgedness_belief
-    for bound, value in tables.hv_d_bands:
-        if hv_d >= bound:
-            return value
-    return 0.0
+    edgedness = _checked(edgedness, lambda v: v >= 0.0, "edgedness {} outside [0, inf]")
+    axis = _bands(np.asarray(hv_d, dtype=np.float64), tables.hv_d_bands, np.greater_equal)
+    return np.where(edgedness < tables.low_edgedness, tables.low_edgedness_belief, axis)[()]
 
 
-def boundary_belief(support: float, tables: BeliefTables = DEFAULT_TABLES) -> float:
+def boundary_belief(support, tables: BeliefTables = DEFAULT_TABLES):
     """Quantize the covered fraction of a candidate side into a belief."""
-    if not 0.0 <= support <= 1.0:
-        raise OutOfRangeError(f"boundary support {support} outside [0, 1]")
-    for bound, value in tables.boundary_bands:
-        if support >= bound:
-            return value
-    return 0.0
+    support = _checked(support, _in_unit, "boundary support {} outside [0, 1]")
+    return _bands(support, tables.boundary_bands, np.greater_equal)[()]
 
 
-def feature_supports(m: FeatureMeasurements,
-                     tables: BeliefTables = DEFAULT_TABLES,
-                     quality_weight: float = 1.0) -> tuple[float, float, float, float]:
-    """The four single-feature support masses for a candidate, in the order
-    (elongation, texture, left boundary, right boundary)."""
-    return (
-        assess_feature(elongation_belief(m.elongation, tables), quality_weight),
-        assess_feature(texture_belief(m.edgedness, m.hv_d, tables), quality_weight),
-        assess_feature(boundary_belief(m.left_boundary, tables), quality_weight),
-        assess_feature(boundary_belief(m.right_boundary, tables), quality_weight),
-    )
+def feature_supports(elongation, edgedness, hv_d, left, right,
+                     tables: BeliefTables = DEFAULT_TABLES, quality_weight=1.0):
+    """The four single-feature support masses of a candidate, in the order
+    (elongation, texture, left boundary, right boundary).  ``hv_d`` may be
+    inf, where a candidate has no diagonal edges.  The four are weighted as
+    one stack, and both sides looked up as one, so that a batch of
+    candidates costs a few array passes."""
+    sides = boundary_belief(np.stack(np.broadcast_arrays(left, right)), tables)
+    beliefs = np.stack(np.broadcast_arrays(elongation_belief(elongation, tables),
+                                           texture_belief(edgedness, hv_d, tables), *sides))
+    return tuple(assess_feature(beliefs, quality_weight))

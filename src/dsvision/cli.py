@@ -63,13 +63,12 @@ def cmd_pipeline(args) -> int:
     config = parse_config(_read(args.config)) if args.config else PipelineConfig()
     if args.threshold is not None:
         config = dataclasses.replace(config, survivor_threshold=args.threshold)
-    window_ks = sibling_ks = None
-    for path in args.knowledge or []:
-        ks = parse_knowledge(_read(path))
-        if window_ks is None:
-            window_ks = ks
-        else:
-            sibling_ks = ks
+    paths = args.knowledge or []
+    if len(paths) > 2:
+        raise DSVisionError(f"{len(paths)} --knowledge files given; at most two "
+                            "(window, then sibling)")
+    sources = [parse_knowledge(_read(path)) for path in paths]
+    window_ks, sibling_ks = sources + [None] * (2 - len(sources))
     result = run_pipeline(image, config, window_ks, sibling_ks)
     _emit(format_report(report_from_result(result)), args.out)
     if args.overlay:
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--config")
     p.add_argument("--knowledge", action="append",
-                   help="knowledge files in stage order (window, then sibling)")
+                   help="up to two knowledge files in stage order (window, then sibling)")
     p.add_argument("--threshold", type=float,
                    help="override the survivor threshold")
     p.add_argument("--out")

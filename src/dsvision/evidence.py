@@ -77,9 +77,6 @@ class Literal:
     atom: str
     positive: bool = True
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     def __str__(self) -> str:
         return self.atom if self.positive else "!" + self.atom
 
@@ -271,10 +268,6 @@ class CombineOutcome:
 def sorted_focals(m: MassFunction) -> list[tuple[Clause, float]]:
     """Focals in canonical order: theta last, otherwise by bitmask."""
     return sorted(m.items(), key=lambda cm: (cm[0].is_theta, cm[0].pos, cm[0].neg))
-
-
-def vacuous(frame: Frame) -> MassFunction:
-    return MassFunction(frame, {Clause.theta(frame): 1.0})
 
 
 def simple_support(frame: Frame, focal: Clause, s: float) -> MassFunction:

@@ -111,8 +111,12 @@ def parse_knowledge(text: str) -> KnowledgeSource:
         if fields[0] == "hypothesis":
             if len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'hypothesis <name>'")
+            if name is not None:
+                raise ParseError(f"line {lineno}: hypothesis declared twice")
             name = fields[1]
         elif fields[0] == "frame":
+            if frame is not None:
+                raise ParseError(f"line {lineno}: frame declared twice")
             frame = make_frame(fields[1:])
         elif fields[0] == "focal":
             clause_text, mass = focal_fields(lineno, fields)

@@ -1,4 +1,4 @@
-"""Minimal netpbm reader/writer: PGM (P2/P5) in, PGM/PPM (P5/P6) out."""
+"""Minimal netpbm reader/writer: PGM (P2/P5) in, PPM (P6) out."""
 
 from __future__ import annotations
 
@@ -143,14 +143,6 @@ def to_uint8(image: np.ndarray) -> np.ndarray:
     """Pixels rounded and clipped to 0..255; uint8 pixels as they are."""
     image = np.asarray(image)
     return image if image.dtype == np.uint8 else np.clip(np.rint(image), 0, 255).astype(np.uint8)
-
-
-def write_pgm(image: np.ndarray, path: str) -> None:
-    image = to_uint8(image)
-    height, width = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
 
 
 def write_ppm(rgb: np.ndarray, path: str) -> None:

@@ -12,13 +12,12 @@ All stages are pure functions of (image, config).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assessment import BeliefTables, FeatureMeasurements, feature_supports
+from .assessment import BeliefTables, feature_supports
 from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
                      RectOutOfBoundsError)
 from .evidence import text_lines
@@ -137,23 +136,10 @@ def parse_config(text: str) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class Pyramid:
-    """Square grids halving in side per level; the image sits at the base.
-    The pipeline reads only the base: the levels are built on first read."""
+    """The base of a pyramid of square grids halving in side per level,
+    where the image sits.  The pipeline reads no level above the base."""
 
-    base: np.ndarray   # side 2^base_level
-
-    @property
-    def base_level(self) -> int:
-        return self.base.shape[0].bit_length() - 1
-
-    @functools.cached_property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """levels[L] has side 2^L; the base is the last."""
-        levels, side = [self.base], self.base.shape[0]
-        while side > 1:
-            side //= 2
-            levels.append(levels[-1].reshape(side, 2, side, 2).mean(axis=(1, 3)))
-        return tuple(reversed(levels))
+    base: np.ndarray
 
 
 def _block_means(image: np.ndarray, k: int) -> np.ndarray:
@@ -199,11 +185,9 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
 
 @dataclass(frozen=True)
 class EdgeField:
-    """Per-cell micro-edge grids: direction (NO_EDGE where none) and
-    gradient magnitude."""
+    """The per-cell micro-edge grid: direction, NO_EDGE where none."""
 
     directions: np.ndarray
-    magnitudes: np.ndarray
 
     def count(self) -> int:
         return int(np.count_nonzero(self.directions != NO_EDGE))
@@ -225,13 +209,10 @@ def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -
     # gy: bottom row sum minus top row sum, columns weighted 1,2,1
     row_weighted = image[:, :-2] + 2.0 * image[:, 1:-1] + image[:, 2:]
     gy = row_weighted[2:, :] - row_weighted[:-2, :]
-    mag = np.abs(gx) + np.abs(gy)
-    hit = mag >= config.edge_threshold
+    hit = np.abs(gx) + np.abs(gy) >= config.edge_threshold
     directions = np.full((n, n), NO_EDGE, dtype=np.int8)
-    magnitudes = np.zeros((n, n), dtype=np.float64)
-    directions[1:n - 1, 1:n - 1] = np.where(hit, _octants(np.arctan2(gy, gx)), NO_EDGE)
-    magnitudes[1:n - 1, 1:n - 1] = np.where(hit, mag, 0.0)
-    return EdgeField(directions, magnitudes)
+    directions[1:n - 1, 1:n - 1][hit] = _octants(np.arctan2(gy[hit], gx[hit]))
+    return EdgeField(directions)
 
 
 def _octants(angle: np.ndarray) -> np.ndarray:
@@ -308,7 +289,6 @@ class Rect:
 class CandidateArea:
     id: int
     rect: Rect
-    measurements: FeatureMeasurements | None = None
     supports: tuple[float, float, float, float] | None = None
     bel_a: float = 0.0
     bel_b: float = 0.0
@@ -451,9 +431,11 @@ def _rects(cands: list[CandidateArea]) -> np.ndarray:
     return np.array(rects, dtype=np.intp).reshape(-1, 4).T
 
 
-def measure_candidates(p: Pyramid, cands: list[CandidateArea],
-                       micro: EdgeField) -> list[FeatureMeasurements]:
-    """Shape, texture and boundary measurements over each candidate rect.
+def measure_candidates(p: Pyramid, cands: list[CandidateArea], micro: EdgeField) -> np.ndarray:
+    """Shape, texture and boundary measurements over each candidate rect,
+    as rows of elongation, edgedness, hv_d (inf where a rect holds no
+    diagonal edge) and left and right side coverage, one column per
+    candidate.
 
     Edge counts are sums over the rect's rows of one running count per row
     of the axis-aligned and diagonal micro-edges.  A side's coverage is the
@@ -461,7 +443,7 @@ def measure_candidates(p: Pyramid, cands: list[CandidateArea],
     pixel of the side column.
     """
     if not cands:
-        return []
+        return np.zeros((5, 0))
     n = p.base.shape[0]
     top, left, height, width = _rects(cands)
     bottom, right = top + height, left + width
@@ -480,14 +462,13 @@ def measure_candidates(p: Pyramid, cands: list[CandidateArea],
     first = np.cumsum(height) - height   # each rect's first row in (owner, row)
     edges = np.add.reduceat(counts[row, right[owner]] - counts[row, left[owner]], first)
     hv, diag = edges & 0xFFFFFFFF, edges >> 32
-    columns = (
+    return np.array((
         np.maximum(height, width) / np.minimum(height, width),
         (hv + diag) / (height * width),
         np.divide(hv, diag, out=np.full(len(hv), math.inf), where=diag > 0),
         np.add.reduceat(near[row, left[owner]], first) / height,
         np.add.reduceat(near[row, right[owner] - 1], first) / height,
-    )
-    return [FeatureMeasurements(*values) for values in zip(*(col.tolist() for col in columns))]
+    ))
 
 
 def _columns(cands: list[CandidateArea], *names: str) -> np.ndarray:
@@ -500,12 +481,11 @@ def stage_a_beliefs(cands: list[CandidateArea], p: Pyramid, micro: EdgeField,
                     window_ks: KnowledgeSource,
                     config: PipelineConfig = PipelineConfig()) -> None:
     """Measure each candidate and verify the feature evidence."""
-    measurements = measure_candidates(p, cands, micro)
-    supports = [feature_supports(m, config.tables, config.quality_weight) for m in measurements]
-    bel_a = stage_a_belief(*np.array(supports, dtype=np.float64).reshape(-1, 4).T,
-                           window_ks=window_ks)
-    for c, m, s, bel in zip(cands, measurements, supports, bel_a.tolist()):
-        c.measurements, c.supports, c.bel_a = m, s, bel
+    supports = feature_supports(*measure_candidates(p, cands, micro), config.tables,
+                                config.quality_weight)
+    bel_a = stage_a_belief(*supports, window_ks=window_ks)
+    for c, s, bel in zip(cands, zip(*(column.tolist() for column in supports)), bel_a.tolist()):
+        c.supports, c.bel_a = s, bel
 
 
 def sibling_search(cands: list[CandidateArea],

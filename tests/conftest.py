@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from dsvision.evidence import Clause, Frame, MassFunction, make_frame
 from dsvision.knowledge import KnowledgeSource
+from dsvision.netpbm import to_uint8
 
 
 # sha256 of the bundled facade's report and overlay bytes, recorded at the seed
@@ -15,6 +17,20 @@ FACADE_OVERLAY_SHA256 = "b8c491670581174753aec4551c133eb5215f5916af0951eafe73b42
 @pytest.fixture
 def shutter_frame() -> Frame:
     return make_frame(["long", "low", "next-to"])
+
+
+def vacuous(frame: Frame) -> MassFunction:
+    """All mass on theta: the identity of Dempster's rule."""
+    return MassFunction(frame, {Clause.theta(frame): 1.0})
+
+
+def write_p5(image: np.ndarray, path: str) -> None:
+    """A binary PGM of the image, its pixels rounded and clipped to 0..255."""
+    image = to_uint8(image)
+    height, width = image.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(image.tobytes())
 
 
 def random_cube(rng: random.Random, frame: Frame, allow_negative: bool = True) -> Clause:

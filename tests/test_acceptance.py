@@ -11,7 +11,7 @@ import random
 import sys
 import time
 
-from conftest import FACADE_REPORT_SHA256, all_cubes, random_knowledge, random_mass
+from conftest import FACADE_REPORT_SHA256, all_cubes, random_knowledge, random_mass, vacuous
 from dsvision.errors import TotalConflictError
 from dsvision.evidence import (
     Clause,
@@ -21,7 +21,6 @@ from dsvision.evidence import (
     combine,
     make_frame,
     simple_support,
-    vacuous,
 )
 from dsvision.fixtures import (
     WINDOW_TABLE,

@@ -1,12 +1,13 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dsvision.assessment import (
+    DEFAULT_TABLES,
     BeliefTables,
-    FeatureMeasurements,
     assess_feature,
     boundary_belief,
     elongation_belief,
@@ -41,6 +42,55 @@ def step_mu(v: float, p: StepFunctionParams) -> float:
     if d <= p.m2:
         return p.t
     return 0.0
+
+
+# --- scalar references: one candidate's supports, band by band ---
+
+
+def ref_assess_feature(goodness: float, quality_weight: float = 1.0) -> float:
+    if not 0.0 <= goodness <= 1.0:
+        raise OutOfRangeError(f"goodness {goodness} outside [0, 1]")
+    if not 0.0 <= quality_weight <= 1.0:
+        raise OutOfRangeError(f"quality weight {quality_weight} outside [0, 1]")
+    return goodness * quality_weight
+
+
+def ref_elongation_belief(e: float, tables: BeliefTables = DEFAULT_TABLES) -> float:
+    if e < 1.0:
+        raise OutOfRangeError(f"elongation {e} < 1")
+    for bound, value in tables.elongation_bands:
+        if e <= bound:
+            return value
+    return 0.0
+
+
+def ref_texture_belief(edgedness: float, hv_d: float,
+                       tables: BeliefTables = DEFAULT_TABLES) -> float:
+    if edgedness < tables.low_edgedness:
+        return tables.low_edgedness_belief
+    for bound, value in tables.hv_d_bands:
+        if hv_d >= bound:
+            return value
+    return 0.0
+
+
+def ref_boundary_belief(support: float, tables: BeliefTables = DEFAULT_TABLES) -> float:
+    if not 0.0 <= support <= 1.0:
+        raise OutOfRangeError(f"boundary support {support} outside [0, 1]")
+    for bound, value in tables.boundary_bands:
+        if support >= bound:
+            return value
+    return 0.0
+
+
+def ref_feature_supports(elongation, edgedness, hv_d, left, right,
+                         tables=DEFAULT_TABLES, quality_weight=1.0):
+    return (
+        ref_assess_feature(ref_elongation_belief(elongation, tables), quality_weight),
+        ref_assess_feature(ref_texture_belief(edgedness, hv_d, tables), quality_weight),
+        ref_assess_feature(ref_boundary_belief(left, tables), quality_weight),
+        ref_assess_feature(ref_boundary_belief(right, tables), quality_weight),
+    )
 
 
 class TestStepMu:
@@ -88,10 +138,16 @@ class TestAssessFeature:
         assert assess_feature(g, q) <= min(g, q) + 1e-12
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            assess_feature(1.2, 1.0)
-        with pytest.raises(OutOfRangeError):
-            assess_feature(0.5, -0.1)
+        for goodness in one_and_many(1.2, 0.5):
+            with pytest.raises(OutOfRangeError, match=r"^goodness 1.2 outside \[0, 1\]$"):
+                assess_feature(goodness, 1.0)
+        for weight in one_and_many(-0.1, 0.5) + one_and_many(math.nan, 0.5):
+            with pytest.raises(OutOfRangeError, match="^quality weight"):
+                assess_feature(0.5, weight)
+
+    def test_arrays(self):
+        got = assess_feature(np.array([0.0, 0.5, 1.0]), 0.5)
+        assert got.tolist() == [0.0, 0.25, 0.5]
 
 
 class TestElongationBelief:
@@ -104,8 +160,9 @@ class TestElongationBelief:
         assert elongation_belief(e) == expected
 
     def test_below_one_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            elongation_belief(0.5)
+        for e in one_and_many(0.5, 2.0) + one_and_many(math.nan, 2.0):
+            with pytest.raises(OutOfRangeError, match="^elongation"):
+                elongation_belief(e)
 
     @given(st.floats(min_value=1, max_value=100))
     def test_value_set_and_monotone(self, e):
@@ -131,6 +188,11 @@ class TestTextureBelief:
     def test_value_set(self, edgedness, hv_d):
         assert texture_belief(edgedness, hv_d) in (0.4, 0.2, 0.0)
 
+    def test_negative_edgedness_rejected(self):
+        for edgedness in one_and_many(-0.1, 0.3) + one_and_many(math.nan, 0.3):
+            with pytest.raises(OutOfRangeError, match="^edgedness"):
+                texture_belief(edgedness, 1.0)
+
 
 class TestBoundaryBelief:
     @pytest.mark.parametrize("support,expected", [
@@ -143,24 +205,62 @@ class TestBoundaryBelief:
         assert boundary_belief(support) == expected
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            boundary_belief(1.2)
+        for support in one_and_many(1.2, 0.5) + one_and_many(-0.0001, 0.5):
+            with pytest.raises(OutOfRangeError, match="^boundary support"):
+                boundary_belief(support)
 
     @given(st.floats(0, 1))
     def test_value_set(self, support):
         assert boundary_belief(support) in (0.6, 0.3, 0.1, 0.0)
 
 
+def one_and_many(value, fill):
+    """A value as a number, as a one-element array, and among in-range
+    ``fill`` values in a multi-element array."""
+    return [value, np.array([value]), np.array([fill, fill, value, fill])]
+
+
+def with_neighbours(values, lo, hi):
+    """The values and their float64 neighbours, kept within [lo, hi]."""
+    near = [f(v) for v in values for f in (float, lambda v: np.nextafter(v, -math.inf),
+                                          lambda v: np.nextafter(v, math.inf))]
+    return sorted({float(v) for v in near if lo <= v <= hi})
+
+
+masses = st.floats(0.0, 1.0)
+thresholds = st.floats(0.0, 10.0) | st.sampled_from([0.0, 1.0, 2.0, 4.0, math.inf])
+bands = st.lists(st.tuples(thresholds, masses), max_size=4).map(tuple)
+
+
+@st.composite
+def supports_cases(draw):
+    """Belief tables (the defaults or drawn), rows of measurements on and
+    beside every threshold of the tables or drawn at random, and a quality
+    weight."""
+    tables = draw(st.just(DEFAULT_TABLES) | st.builds(
+        BeliefTables, elongation_bands=bands, low_edgedness=thresholds,
+        low_edgedness_belief=masses, hv_d_bands=bands,
+        boundary_bands=st.lists(st.tuples(masses, masses), max_size=4).map(tuple)))
+
+    def measure(lo, hi, table_bands, extra=()):
+        edges = [bound for bound, _ in table_bands] + list(extra) + [lo, hi]
+        return st.sampled_from(with_neighbours(edges, lo, hi)) | st.floats(lo, hi)
+
+    row = st.tuples(measure(1.0, 1e3, tables.elongation_bands),
+                    measure(0.0, 10.0, (), [tables.low_edgedness]),
+                    measure(0.0, math.inf, tables.hv_d_bands),
+                    measure(0.0, 1.0, tables.boundary_bands),
+                    measure(0.0, 1.0, tables.boundary_bands))
+    return tables, draw(st.lists(row, min_size=1, max_size=8)), draw(masses)
+
+
 class TestFeatureSupports:
     def test_typical_window(self):
-        m = FeatureMeasurements(elongation=1.5, edgedness=0.3, hv_d=8.0,
-                                left_boundary=0.9, right_boundary=0.8)
-        assert feature_supports(m) == (0.5, 0.4, 0.6, 0.6)
+        assert feature_supports(1.5, 0.3, 8.0, 0.9, 0.8) == (0.5, 0.4, 0.6, 0.6)
 
     def test_quality_weight_scales(self):
-        m = FeatureMeasurements(elongation=1.5, edgedness=0.05, hv_d=0.0,
-                                left_boundary=0.0, right_boundary=0.0)
-        assert feature_supports(m, quality_weight=0.5) == (0.25, 0.2, 0.0, 0.0)
+        assert feature_supports(1.5, 0.05, 0.0, 0.0, 0.0, quality_weight=0.5) == (
+            0.25, 0.2, 0.0, 0.0)
 
     def test_custom_tables(self):
         tables = BeliefTables(boundary_bands=((0.5, 0.9),))
@@ -168,9 +268,24 @@ class TestFeatureSupports:
         assert boundary_belief(0.4, tables) == 0.0
 
     def test_measurement_validation(self):
-        with pytest.raises(OutOfRangeError):
-            FeatureMeasurements(elongation=0.5, edgedness=0.0, hv_d=1.0,
-                                left_boundary=0.0, right_boundary=0.0)
-        with pytest.raises(OutOfRangeError):
-            FeatureMeasurements(elongation=2.0, edgedness=0.0, hv_d=1.0,
-                                left_boundary=1.5, right_boundary=0.0)
+        good = (2.0, 0.0, 1.0, 0.0, 0.0)
+        for field, value, message in ((0, 0.5, "^elongation"), (1, -0.5, "^edgedness"),
+                                      (3, 1.5, "^boundary support"),
+                                      (4, -0.5, "^boundary support")):
+            for bad in one_and_many(value, good[field]):
+                row = [np.full(np.shape(bad), v) for v in good]
+                row[field] = bad
+                with pytest.raises(OutOfRangeError, match=message):
+                    feature_supports(*row)
+
+    @settings(deadline=None)
+    @given(supports_cases())
+    def test_arrays_equal_scalar_reference(self, case):
+        """Each candidate's supports are bit for bit the band-by-band
+        scalar reference's, whether the rows come as arrays or one by one."""
+        tables, rows, weight = case
+        want = np.array([ref_feature_supports(*row, tables, weight) for row in rows])
+        got = feature_supports(*np.array(rows).T, tables, weight)
+        assert np.array(got).T.tobytes() == want.tobytes()
+        one = [feature_supports(*row, tables, weight) for row in rows]
+        assert np.array(one, dtype=np.float64).tobytes() == want.tobytes()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import write_p5
 from dsvision.cli import build_parser, main
 from dsvision.fixtures import synthetic_facade
-from dsvision.netpbm import write_pgm
 
 MASS_A = """frame window v-sibl h-sibl
 focal window 0.5
@@ -39,7 +39,7 @@ focal THETA 0.06
 @pytest.fixture
 def facade_pgm(tmp_path):
     path = tmp_path / "facade.pgm"
-    write_pgm(synthetic_facade().image, str(path))
+    write_p5(synthetic_facade().image, str(path))
     return str(path)
 
 
@@ -130,6 +130,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_knowledge_frame_declared_twice(self, tmp_path, capsys):
+        ev = tmp_path / "ev.mass"
+        ks = tmp_path / "ks.know"
+        ev.write_text(SHUTTER_EVIDENCE)
+        ks.write_text(SHUTTER_KNOWLEDGE.replace("frame long low next-to\n",
+                                                "frame long low next-to\nframe a b c\n"))
+        assert main(["verify", "--evidence", str(ev), "--knowledge", str(ks)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: frame declared twice\n"
 
     def test_output_file(self, tmp_path):
         ev = tmp_path / "ev.mass"
@@ -228,6 +239,17 @@ class TestPipeline:
         assert main(["pipeline", facade_pgm, "--knowledge", str(window),
                      "--knowledge", str(sibling)]) == 0
         assert capsys.readouterr().out == out_a
+
+    def test_third_knowledge_file_rejected(self, facade_pgm, tmp_path, capsys):
+        know = tmp_path / "any.know"
+        know.write_text(SHUTTER_KNOWLEDGE)
+        report = tmp_path / "report.tsv"
+        assert main(["pipeline", facade_pgm, "--out", str(report)]
+                    + ["--knowledge", str(know)] * 3) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not report.exists()
+        assert captured.err.startswith("error: 3 --knowledge files given")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("text, message", [
         ("P2\n8 8\n255\n99999999999999999999999" + " 0" * 63 + "\n",

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import vacuous
 from dsvision.errors import (
     ContradictionError,
     DuplicateAtomError,
@@ -25,7 +26,6 @@ from dsvision.evidence import (
     make_frame,
     parse_mass_text,
     simple_support,
-    vacuous,
 )
 
 

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from conftest import random_knowledge, random_mass
+from conftest import random_knowledge, random_mass, vacuous
 from dsvision.errors import (
     FrameMismatchError,
     NegativeLiteralInKnowledgeError,
     NormalizationError,
+    ParseError,
     UnknownAtomError,
 )
-from dsvision.evidence import Clause, combine_all, make_frame, simple_support, vacuous
+from dsvision.evidence import Clause, combine_all, make_frame, simple_support
 from dsvision.fixtures import SHUTTER_FRAME, shutter_evidence, shutter_knowledge
 from dsvision.knowledge import KnowledgeSource, parse_knowledge, verify
 from dsvision.oracle import from_mass_function, oracle_verify
@@ -199,4 +200,13 @@ class TestParseKnowledge:
     def test_negative_literal_rejected(self):
         text = "hypothesis h\nframe a\nfocal !a 0.5\nfocal THETA 0.5\n"
         with pytest.raises(NegativeLiteralInKnowledgeError):
+            parse_knowledge(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("hypothesis w\nframe a b\nframe c d\nfocal THETA 1\n", "line 3: frame declared twice"),
+        ("hypothesis w\n# v\nhypothesis v\nframe a\nfocal THETA 1\n",
+         "line 3: hypothesis declared twice"),
+    ], ids=["frame", "hypothesis"])
+    def test_directive_declared_twice(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
             parse_knowledge(text)

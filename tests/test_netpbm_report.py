@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import write_p5
 from dsvision import netpbm
 from dsvision.errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 from dsvision.fixtures import synthetic_facade
-from dsvision.netpbm import _tokenize_header, read_pgm, write_pgm, write_ppm
+from dsvision.netpbm import _tokenize_header, read_pgm, write_ppm
 from dsvision.pyramid import CandidateArea, Rect
 from dsvision.report import (HUE_MID, HUE_STRONG, HUE_WEAK, ReportRow, format_report,
                              write_overlay)
@@ -140,13 +141,13 @@ class TestReadPgm:
         rng = np.random.default_rng(11)
         image = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
         path = tmp_path / "img.pgm"
-        write_pgm(image, str(path))
+        write_p5(image, str(path))
         assert np.array_equal(read_pgm(str(path)), image)
 
     def test_p2_equals_p5(self, tmp_path):
         image = np.arange(64, dtype=np.uint8).reshape(8, 8)
         p5 = tmp_path / "a.pgm"
-        write_pgm(image, str(p5))
+        write_p5(image, str(p5))
         rows = [" ".join(str(v) for v in row) for row in image]
         p2 = tmp_path / "b.pgm"
         p2.write_text("P2\n# comment\n8 8\n255\n" + "\n".join(rows) + "\n")
@@ -341,7 +342,7 @@ class TestReadPgm:
         if ascii_:
             path.write_text("P2\n8 8\n255\n" + " ".join(map(str, image.ravel())) + "\n")
         else:
-            write_pgm(image, str(path))
+            write_p5(image, str(path))
         pixels = read_pgm(str(path))
         assert pixels.flags.writeable
         pixels[0, 0] = 99

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import all_cubes, all_disjunctions, random_cube, random_mass
+from conftest import all_cubes, all_disjunctions, random_cube, random_mass, vacuous
 from dsvision.errors import TotalConflictError
 from dsvision.evidence import (
     Clause,
@@ -13,7 +13,6 @@ from dsvision.evidence import (
     combine_all,
     make_frame,
     simple_support,
-    vacuous,
 )
 from dsvision.oracle import (
     OracleMass,

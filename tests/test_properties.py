@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import all_cubes, random_cube, random_mass
+from conftest import all_cubes, random_cube, random_mass, vacuous
 from dsvision.evidence import (
     Clause,
     belief,
@@ -14,7 +14,6 @@ from dsvision.evidence import (
     combine_all,
     make_frame,
     simple_support,
-    vacuous,
 )
 from dsvision.errors import TotalConflictError
 

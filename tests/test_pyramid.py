@@ -48,8 +48,8 @@ def degree_chain(angle):
 
 
 def reference_micro_edges(image, threshold):
-    """Reference: the micro-edge grids of a base image, directions by the
-    degree chain."""
+    """Reference: the micro-edge directions of a base image, by the degree
+    chain, and the gradient magnitudes |gx| + |gy| behind them."""
     n = image.shape[0]
     col_weighted = image[:-2, :] + 2.0 * image[1:-1, :] + image[2:, :]
     row_weighted = image[:, :-2] + 2.0 * image[:, 1:-1] + image[:, 2:]
@@ -66,10 +66,19 @@ def reference_micro_edges(image, threshold):
 
 def assert_micro_edges_match_reference(image, threshold):
     micro = extract_micro_edges(build_pyramid(image), PipelineConfig(edge_threshold=threshold))
-    directions, magnitudes = reference_micro_edges(image, threshold)
+    directions, _ = reference_micro_edges(image, threshold)
     assert micro.directions.dtype == np.int8
     assert micro.directions.tobytes() == directions.tobytes()
-    assert micro.magnitudes.tobytes() == magnitudes.tobytes()
+
+
+def reference_levels(base):
+    """Reference: the pyramid above a base, by 2x2 means; levels[L] has
+    side 2^L and the base is the last."""
+    levels = [base]
+    while len(levels[-1]) > 1:
+        half = len(levels[-1]) // 2
+        levels.append(levels[-1].reshape(half, 2, half, 2).mean(axis=(1, 3)))
+    return levels[::-1]
 
 
 def as_tuples(rows):
@@ -251,7 +260,6 @@ class TestBuildPyramid:
     def test_128_base_unchanged(self):
         image = np.arange(128 * 128, dtype=np.float64).reshape(128, 128) % 251
         p = build_pyramid(image)
-        assert p.base_level == 7
         assert np.array_equal(p.base, image)
 
     def test_512_reduces_to_128(self):
@@ -264,7 +272,6 @@ class TestBuildPyramid:
     def test_every_side_above_128_reduces_to_128(self, side):
         p = build_pyramid(np.full((side, side), 77, dtype=np.uint8))
         assert p.base.shape == (min(side, 128),) * 2
-        assert p.base_level == min(side, 128).bit_length() - 1
         assert np.all(p.base == 77.0)
 
     @pytest.mark.parametrize("side", [256, 512, 1024])
@@ -314,7 +321,8 @@ class TestBuildPyramid:
             run_pipeline(step_image(low=-1e301))
         for side in (16, 512):   # the largest magnitude allowed runs without a warning
             result = run_pipeline(step_image(side, side // 2, low=-1e300, high=1e300))
-            assert np.isfinite(result.micro.magnitudes).all()
+            _, magnitudes = reference_micro_edges(result.pyramid.base, 32.0)
+            assert np.isfinite(magnitudes).all() and result.micro.count() > 0
 
     @pytest.mark.parametrize("value", [np.nan, 1e301, -1e301])
     def test_float_out_of_range_pixel_rejected(self, value):
@@ -327,32 +335,24 @@ class TestBuildPyramid:
     @pytest.mark.parametrize("side", [16, 128, 256, 512, 1024])
     def test_integer_image_equals_float_image(self, side):
         image = np.random.default_rng(side).integers(0, 256, (side, side)).astype(np.uint8)
-        for ints, floats in zip(build_pyramid(image).levels,
-                                build_pyramid(image.astype(np.float64)).levels):
+        for ints, floats in zip(reference_levels(build_pyramid(image).base),
+                                reference_levels(build_pyramid(image.astype(np.float64)).base)):
             assert ints.dtype == floats.dtype == np.float64
             assert np.array_equal(ints, floats)
 
     @pytest.mark.parametrize("side", [16, 128, 256, 512, 1024])
-    def test_lazy_levels_equal_eager_levels(self, side):
-        """The levels above the base, built when first read, equal the 2x2
-        means ``build_pyramid`` used to stack at once."""
+    def test_base_is_a_level_of_the_2x2_pyramid(self, side):
+        """The base, reduced to 128 by block means at once for a larger
+        image, is that level of the image's own pyramid of 2x2 means."""
         image = np.random.default_rng(side).integers(0, 256, (side, side)).astype(np.uint8)
         for pixels in (image, image.astype(np.float64)):
-            p = build_pyramid(pixels)
-            assert "levels" not in vars(p)   # only the base is built
-            eager = [p.base]
-            while len(eager[-1]) > 1:
-                half = len(eager[-1]) // 2
-                eager.append(eager[-1].reshape(half, 2, half, 2).mean(axis=(1, 3)))
-            assert p.base_level == len(eager) - 1 == min(side, 128).bit_length() - 1
-            assert [level.tobytes() for level in p.levels] == [e.tobytes() for e in eager[::-1]]
-            assert p.levels[-1] is p.base and p.levels is p.levels
+            want = reference_levels(pixels.astype(np.float64))[min(side, 128).bit_length() - 1]
+            assert build_pyramid(pixels).base.tobytes() == want.tobytes()
 
     def test_parent_cells_average_children(self):
         rng = np.random.default_rng(5)
         image = rng.uniform(0, 255, size=(16, 16))
-        p = build_pyramid(image)
-        coarse = p.levels[p.base_level - 1]
+        coarse = reference_levels(build_pyramid(image).base)[-2]
         assert coarse[3, 2] == pytest.approx(image[6:8, 4:6].mean())
 
 
@@ -366,7 +366,8 @@ class TestExtractMicroEdges:
         micro = extract_micro_edges(p)
         # the 3x3 kernel responds in the two columns flanking the step
         assert np.all(micro.directions[1:15, 7:9] == 0)
-        assert np.allclose(micro.magnitudes[1:15, 7:9], 4 * 255.0)
+        _, magnitudes = reference_micro_edges(p.base, 32.0)
+        assert np.allclose(magnitudes[1:15, 7:9], 4 * 255.0)
         assert micro.count() == 2 * 14
 
     def test_reversed_step_opposite_polarity(self):
@@ -424,11 +425,9 @@ class TestExtractMicroEdges:
 
 def edge_field(side, cells, direction=2):
     directions = np.full((side, side), NO_EDGE, dtype=np.int8)
-    magnitudes = np.zeros((side, side))
     for r, c in cells:
         directions[r, c] = direction
-        magnitudes[r, c] = 100.0
-    return EdgeField(directions, magnitudes)
+    return EdgeField(directions)
 
 
 class TestAggregateShortEdges:
@@ -647,19 +646,21 @@ class TestMeasureFeatures:
     def test_elongation_arithmetic(self):
         p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        [m] = measure_candidates(p, [CandidateArea(1, Rect(4, 4, 20, 5))], micro)
-        assert m.elongation == pytest.approx(4.0)
+        [elongation], *_ = measure_candidates(p, [CandidateArea(1, Rect(4, 4, 20, 5))], micro)
+        assert elongation == pytest.approx(4.0)
 
     def test_empty_interior(self):
         p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        [m] = measure_candidates(p, [CandidateArea(1, Rect(4, 4, 8, 8))], micro)
-        assert m.edgedness == 0.0
-        assert m.hv_d == np.inf
+        _, [edgedness], [hv_d], _, _ = measure_candidates(
+            p, [CandidateArea(1, Rect(4, 4, 8, 8))], micro)
+        assert edgedness == 0.0
+        assert hv_d == np.inf
 
     def test_no_candidates(self):
         p = build_pyramid(np.zeros((16, 16)))
-        assert measure_candidates(p, [], edge_field(16, [])) == []
+        got = measure_candidates(p, [], edge_field(16, []))
+        assert got.shape == (5, 0) and got.dtype == np.float64
 
     def test_out_of_bounds(self):
         p = build_pyramid(np.zeros((16, 16)))
@@ -684,9 +685,11 @@ class TestMeasureFeatures:
         top, left, height, width = fx.windows[0]
         cand = next(c for c in result.candidates
                     if c.rect == Rect(top, left, height, width))
-        assert cand.measurements.hv_d >= 4
-        assert cand.measurements.left_boundary >= 0.75
-        assert cand.measurements.right_boundary >= 0.75
+        _, _, [hv_d], [left], [right] = measure_candidates(result.pyramid, [cand], result.micro)
+        assert hv_d >= 4
+        assert left >= 0.75
+        assert right >= 0.75
+        assert cand.supports[1:] == (0.4, 0.6, 0.6)
 
 
 def make_candidate(cid, top, left, height=12, width=16, bel_a=0.4):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FACADE_REPORT_SHA256, random_knowledge
 from dsvision import evidence, knowledge, pyramid, stages
-from dsvision.assessment import DEFAULT_TABLES, FeatureMeasurements
+from dsvision.assessment import DEFAULT_TABLES, feature_supports
 from dsvision.errors import NormalizationError, TotalConflictError, UnknownAtomError
 from dsvision.evidence import Clause, combine_all, make_frame, simple_support
 from dsvision.fixtures import synthetic_facade
@@ -69,13 +69,13 @@ def ref_measure_features(p, c, micro):
     edge_count = int(np.count_nonzero(interior != NO_EDGE))
     hv = int(np.count_nonzero(np.isin(interior, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)))
     diag = int(np.count_nonzero(np.isin(interior, DIAGONAL)))
-    return FeatureMeasurements(
-        elongation=max(r.height, r.width) / min(r.height, r.width),
-        edgedness=edge_count / (r.height * r.width),
-        hv_d=math.inf if diag == 0 else hv / diag,
-        left_boundary=ref_side_coverage(micro, r, r.left),
-        right_boundary=ref_side_coverage(micro, r, r.right - 1),
-    )
+    return [
+        max(r.height, r.width) / min(r.height, r.width),   # elongation
+        edge_count / (r.height * r.width),                  # edgedness
+        math.inf if diag == 0 else hv / diag,               # hv_d
+        ref_side_coverage(micro, r, r.left),
+        ref_side_coverage(micro, r, r.right - 1),
+    ]
 
 
 def ref_side_coverage(micro, r, col):
@@ -259,7 +259,7 @@ class TestBatchedStages:
         assert stage_b_belief(empty, empty, empty).shape == (0,)
         assert stage_c_belief(empty, empty, empty, empty).shape == (0,)
         p = build_pyramid(np.zeros((16, 16)))
-        micro = EdgeField(np.full((16, 16), NO_EDGE, dtype=np.int8), np.zeros((16, 16)))
+        micro = EdgeField(np.full((16, 16), NO_EDGE, dtype=np.int8))
         pyramid.stage_a_beliefs([], p, micro, window_knowledge())
         pyramid.stage_b_beliefs([], sibling_knowledge())
         pyramid.stage_c_beliefs([], sibling_knowledge())
@@ -337,7 +337,7 @@ class TestPipelineBeliefs:
 def random_edge_field(rng, side):
     directions = rng.integers(-1, 8, size=(side, side)).astype(np.int8)
     directions[rng.random((side, side)) < rng.random()] = NO_EDGE
-    return EdgeField(directions, np.zeros((side, side)))
+    return EdgeField(directions)
 
 
 class TestBatchedMeasurements:
@@ -358,9 +358,14 @@ class TestBatchedMeasurements:
                   Rect(0, 0, side, side), Rect(2, side - 3, 3, 3)]
         cands = [CandidateArea(i + 1, r) for i, r in enumerate(rects)]
         got = measure_candidates(p, cands, micro)
-        assert got == [ref_measure_features(p, c, micro) for c in cands]
+        assert got.T.tolist() == [ref_measure_features(p, c, micro) for c in cands]
 
     def test_facade_candidates(self):
         result = run_pipeline(synthetic_facade().image)
-        for c in result.candidates:
-            assert c.measurements == ref_measure_features(result.pyramid, c, result.micro)
+        got = measure_candidates(result.pyramid, result.candidates, result.micro)
+        assert got.T.tolist() == [ref_measure_features(result.pyramid, c, result.micro)
+                                  for c in result.candidates]
+        # stage A stores each candidate's supports as a tuple of floats
+        supports = list(zip(*(s.tolist() for s in feature_supports(*got))))
+        assert [c.supports for c in result.candidates] == supports
+        assert all(type(s) is float for c in result.candidates for s in c.supports)

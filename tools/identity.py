@@ -1,0 +1,132 @@
+"""Whether the named checkouts give the same bytes for every observable
+output, input by input.
+
+usage: python tools/identity.py NAME=REPO_ROOT [NAME=REPO_ROOT ...]
+
+Each named checkout's ``src/`` is imported in its own process.  That
+process writes the ``facades``, ``noise`` and ``evidence`` inputs of seeds
+1-3 with this repository's ``perfbench/inputs.py`` and hashes, per input:
+
+- an image: the ``read_pgm`` array (dtype, shape and bytes), from
+  ``run_pipeline`` the micro-edge directions and both edge arrays, each
+  candidate's rect, supports, ``bel_a/b/c``, siblings, non-window support
+  and conflict K, and the report and overlay bytes of ``dsvision pipeline``;
+- an evidence input: the exit status and output bytes of ``dsvision
+  combine`` and of ``dsvision verify`` on that combination;
+
+and once the output of ``dsvision areas`` and ``dsvision shutter``.  Floats
+are hashed by ``repr``, which tells float64 values apart (NaN aside).  Every
+checkout is compared with the first: the first output that differs is
+printed and the exit status is 1.  With every output equal it prints a
+one-line summary and exits 0.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+SEEDS = (1, 2, 3)
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+PROBE = r"""
+import hashlib, json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import inputs
+from dsvision import cli, netpbm, pyramid
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+def array(a):
+    return digest(str(a.dtype), a.shape, a.tobytes())
+
+def read(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+def outcome(argv, *paths):
+    # the files are removed first, so that a call that writes none shows
+    for path in filter(os.path.exists, paths):
+        os.unlink(path)
+    return digest(cli.main(argv), *map(read, paths))
+
+out = {}
+with tempfile.TemporaryDirectory() as work:
+    tsv, ppm, mass = (os.path.join(work, name) for name in ("out.tsv", "out.ppm", "out.mass"))
+    for seed in map(int, sys.argv[2:]):
+        for workload in ("facades", "noise", "evidence"):
+            os.makedirs(os.path.join(work, workload, str(seed)))
+        for workload, make in (("facades", inputs.make_facades), ("noise", inputs.make_noise)):
+            for inp in make(seed, os.path.join(work, workload, str(seed))):
+                image = netpbm.read_pgm(inp.path)
+                result = pyramid.run_pipeline(image)
+                row = {"read_pgm": array(image),
+                       "micro.directions": array(result.micro.directions),
+                       "short_edges": array(result.short_edges),
+                       "long_edges": array(result.long_edges),
+                       "candidates": len(result.candidates)}
+                for c in result.candidates:
+                    row[f"candidate {c.id}"] = digest(
+                        c.rect, c.supports, c.bel_a, c.bel_b, c.bel_c, c.v_sibl, c.h_sibl,
+                        c.non_window, c.conflict)
+                row["report and overlay"] = outcome(
+                    ["pipeline", inp.path, "--out", tsv, "--overlay", ppm], tsv, ppm)
+                out[f"{workload} seed {seed} {os.path.basename(inp.path)}"] = row
+        for k, inp in enumerate(inputs.make_evidence(seed, os.path.join(work, "evidence",
+                                                                         str(seed)))):
+            out[f"evidence seed {seed} input {k}"] = {
+                "combine": outcome(["combine", *inp.mass_paths, "--out", mass], mass),
+                "verify": outcome(["verify", "--evidence", mass, "--knowledge",
+                                   inp.knowledge_path, "--out", tsv], tsv)}
+    for command in ("areas", "shutter"):
+        out[command] = {command: outcome([command, "--out", tsv], tsv)}
+print(json.dumps(out))
+"""
+
+
+def outputs(root: str) -> dict:
+    # no bytecode is written next to perfbench/inputs.py
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"),
+               PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", PROBE, PERFBENCH, *map(str, SEEDS)],
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def first_difference(want: dict, got: dict) -> str | None:
+    """The first input and output, in the reference's order, whose hash
+    differs or that only one side has."""
+    for key in list(want) + [key for key in got if key not in want]:
+        if key not in want or key not in got:
+            return f"{key}: only one checkout has this input"
+        mine, theirs = want[key], got[key]
+        for name in list(mine) + [name for name in theirs if name not in mine]:
+            if mine.get(name) != theirs.get(name):
+                return f"{key}: {name}"
+    return None
+
+
+def main(argv) -> int:
+    trees = dict(arg.split("=", 1) for arg in argv)
+    (ref_name, ref_root), *others = trees.items()
+    want = outputs(ref_root)
+    for name, root in others:
+        difference = first_difference(want, outputs(root))
+        if difference is not None:
+            print(f"{name} differs from {ref_name} at {difference}")
+            return 1
+    hashes = sum(len(row) for row in want.values())
+    print(f"{', '.join(trees)}: all equal ({len(want)} inputs, {hashes} hashes)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
