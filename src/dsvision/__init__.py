@@ -16,7 +16,17 @@ from .evidence import (
     simple_support,
 )
 from .knowledge import KnowledgeSource, VerificationResult, parse_knowledge, verify
-from .pyramid import CandidateArea, PipelineConfig, Pyramid, build_pyramid, run_pipeline
+
+# the pyramid names load numpy, so they are imported on first access (PEP 562)
+_PYRAMID_NAMES = ("CandidateArea", "PipelineConfig", "Pyramid", "build_pyramid", "run_pipeline")
+
+
+def __getattr__(name: str):
+    if name not in _PYRAMID_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pyramid
+    return getattr(pyramid, name)
+
 
 __all__ = [
     "DSVisionError",

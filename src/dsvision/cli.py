@@ -3,7 +3,8 @@
 Subcommands: ``combine`` (mass files), ``verify`` (evidence vs knowledge),
 ``pipeline`` (PGM image through the full chain), ``areas`` (bundled
 tabulated-area fixture) and ``shutter`` (bundled worked example).  Input
-errors exit with status 2 and a one-line diagnostic on stderr.
+errors exit with status 2 and a one-line diagnostic on stderr.  Only
+``pipeline``, ``areas`` and ``shutter`` load numpy.
 """
 
 from __future__ import annotations
@@ -11,16 +12,33 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import sys
 
-from . import fixtures
 from .errors import DSVisionError
 from .evidence import combine_all, format_mass_text, parse_mass_text
 from .knowledge import parse_knowledge, verify
-from .netpbm import read_pgm
-from .pyramid import PipelineConfig, parse_config, run_pipeline
-from .report import ReportRow, format_report, report_from_result, write_overlay
-from .stages import stage_a_belief, stage_b_belief, stage_c_belief
+
+# The other commands' names come from modules that load numpy.  Each is
+# imported on first access as an attribute of this module (PEP 562), and the
+# commands call it through ``_cli``, so a name set on the module replaces it.
+_LAZY = {name: module for module, names in (
+    ("fixtures", "WINDOW_TABLE shutter_evidence shutter_knowledge"),
+    ("netpbm", "read_pgm"),
+    ("pyramid", "PipelineConfig parse_config run_pipeline"),
+    ("report", "ReportRow format_report report_from_result write_overlay"),
+    ("stages", "stage_a_belief stage_b_belief stage_c_belief"),
+) for name in names.split()}
+
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _LAZY[name], __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _read(path: str) -> str:
@@ -59,8 +77,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    image = read_pgm(args.image)
-    config = parse_config(_read(args.config)) if args.config else PipelineConfig()
+    image = _cli.read_pgm(args.image)
+    config = _cli.parse_config(_read(args.config)) if args.config else _cli.PipelineConfig()
     if args.threshold is not None:
         config = dataclasses.replace(config, survivor_threshold=args.threshold)
     paths = args.knowledge or []
@@ -69,32 +87,32 @@ def cmd_pipeline(args) -> int:
                             "(window, then sibling)")
     sources = [parse_knowledge(_read(path)) for path in paths]
     window_ks, sibling_ks = sources + [None] * (2 - len(sources))
-    result = run_pipeline(image, config, window_ks, sibling_ks)
-    _emit(format_report(report_from_result(result)), args.out)
+    result = _cli.run_pipeline(image, config, window_ks, sibling_ks)
+    _emit(_cli.format_report(_cli.report_from_result(result)), args.out)
     if args.overlay:
-        write_overlay(result.pyramid.base, result.candidates, args.overlay)
+        _cli.write_overlay(result.pyramid.base, result.candidates, args.overlay)
     return 0
 
 
-def _area_rows() -> list[ReportRow]:
+def _area_rows() -> list:
     rows = []
-    for area in fixtures.WINDOW_TABLE:
-        a = stage_a_belief(area.elong, area.text, area.lt, area.rt)
-        b = stage_b_belief(a, area.v_sibl, area.h_sibl)
-        c = stage_c_belief(a, area.non_window, area.v_sibl, area.h_sibl)
-        rows.append(ReportRow(area.label, area.elong, area.text, area.lt, area.rt,
-                              a, area.v_sibl, area.h_sibl, b, area.non_window, c))
+    for area in _cli.WINDOW_TABLE:
+        a = _cli.stage_a_belief(area.elong, area.text, area.lt, area.rt)
+        b = _cli.stage_b_belief(a, area.v_sibl, area.h_sibl)
+        c = _cli.stage_c_belief(a, area.non_window, area.v_sibl, area.h_sibl)
+        rows.append(_cli.ReportRow(area.label, area.elong, area.text, area.lt, area.rt,
+                                   a, area.v_sibl, area.h_sibl, b, area.non_window, c))
     return rows
 
 
 def cmd_areas(args) -> int:
-    _emit(format_report(_area_rows()), args.out)
+    _emit(_cli.format_report(_area_rows()), args.out)
     return 0
 
 
 def cmd_shutter(args) -> int:
-    evidence = fixtures.shutter_evidence()
-    result = verify(evidence, fixtures.shutter_knowledge())
+    evidence = _cli.shutter_evidence()
+    result = verify(evidence, _cli.shutter_knowledge())
     _emit(f"Bel(shutter) = {result.bel:.3f}\n"
           f"Bel(THETA) = {result.theta:.3f}\n", args.out)
     return 0

@@ -229,7 +229,11 @@ class MassFunction:
                 kind = "negative" if mass < 0 else "NaN"
                 raise NormalizationError(f"{kind} mass {mass} on {clause}")
             if mass > 0:
-                cleaned[clause] = cleaned.get(clause, 0.0) + mass
+                mass += cleaned.get(clause, 0.0)
+                # no focal may hold more than the total, so fsum cannot overflow
+                if mass > 1.0 + MASS_SUM_TOL:
+                    raise NormalizationError(f"mass {mass} on {clause} exceeds 1")
+                cleaned[clause] = mass
         total = math.fsum(cleaned.values())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise NormalizationError(f"masses sum to {total}, expected 1")
@@ -355,7 +359,7 @@ def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
     A ``frame`` line declares the atoms (required unless a frame is passed
     in); each ``focal <clause> <mass>`` line adds one focal element.
     """
-    focal_lines: list[tuple[str, float]] = []
+    focal_lines: list[tuple[int, str, float]] = []
     for lineno, line in text_lines(text):
         fields = line.split()
         if fields[0] == "frame":
@@ -363,14 +367,16 @@ def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
                 raise ParseError(f"line {lineno}: frame declared twice")
             frame = make_frame(fields[1:])
         elif fields[0] == "focal":
-            focal_lines.append(focal_fields(lineno, fields))
+            focal_lines.append((lineno, *focal_fields(lineno, fields)))
         else:
             raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
     if frame is None:
         raise ParseError("no frame declared and none supplied")
     focals: dict[Clause, float] = {}
-    for clause_text, mass in focal_lines:
+    for lineno, clause_text, mass in focal_lines:
         clause = Clause.parse(frame, clause_text)
+        if clause.kind != CONJUNCTION:
+            raise ParseError(f"line {lineno}: mass focal {clause_text!r} is a disjunction")
         focals[clause] = focals.get(clause, 0.0) + mass
     try:
         return MassFunction(frame, focals)

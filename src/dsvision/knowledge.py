@@ -41,18 +41,19 @@ class KnowledgeSource:
 
     def __post_init__(self):
         # masses are checked before they are summed, since fsum raises on
-        # inf + -inf; the inverted comparisons also reject NaN
+        # inf + -inf and on an overflowing sum; the inverted comparisons also
+        # reject NaN
         for clause, mass in self.focals:
             if clause.frame != self.frame:
                 raise FrameMismatchError("knowledge focal over a different frame")
-            if not mass > 0:
-                raise NormalizationError(f"non-positive mass {mass} on {clause}")
+            if not 0 < mass <= 1.0 + MASS_SUM_TOL:
+                raise NormalizationError(f"mass {mass} on {clause} outside (0, 1]")
             if not clause.is_positive:
                 raise NegativeLiteralInKnowledgeError(f"negative literal in {clause}")
             if clause.is_theta:
                 raise ParseError("use the theta residual, not a THETA focal")
-        if not self.theta_mass >= 0:
-            raise NormalizationError("negative theta mass")
+        if not 0 <= self.theta_mass <= 1.0 + MASS_SUM_TOL:
+            raise NormalizationError(f"theta mass {self.theta_mass} outside [0, 1]")
         total = math.fsum(m for _, m in self.focals) + self.theta_mass
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise NormalizationError(f"knowledge masses sum to {total}, expected 1")

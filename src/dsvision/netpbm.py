@@ -82,9 +82,10 @@ def _p2_samples(data: bytes, start: int, size: int, maxval: int) -> np.ndarray:
     The body is decoded in blocks of about `_BLOCK` bytes, each cut just
     after a non-digit byte, so no token spans two blocks and no array is
     larger than a few blocks.  Every token is counted, but only the first
-    `size` are kept and checked against `maxval`.
+    `size` are kept and checked against `maxval`.  A sample takes a digit
+    and a separator, so no more are allocated than the body could hold.
     """
-    samples = np.empty(size, dtype=np.uint8)
+    samples = np.empty(min(size, (len(data) - start + 1) // 2), dtype=np.uint8)
     count = high = 0
     pos, end = start, len(data)
     while pos < end:

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dsvision
 from conftest import write_p5
+from dsvision import cli
 from dsvision.cli import build_parser, main
 from dsvision.fixtures import synthetic_facade
 
@@ -79,6 +86,22 @@ class TestCombine:
         assert main(["combine", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_disjunction_focal(self, tmp_path, capsys):
+        path = tmp_path / "or.mass"
+        path.write_text("frame a b\nfocal THETA 0.5\nfocal a|b 0.5\n")
+        assert main(["combine", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: mass focal 'a|b' is a disjunction\n"
+
+    def test_mass_sum_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.mass"
+        path.write_text("frame a b\nfocal a 1e308\nfocal b 1e308\n")
+        assert main(["combine", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mass text: mass 1e+308 on a exceeds 1\n"
+
     def test_nan_mass(self, tmp_path, capsys):
         path = tmp_path / "nan.mass"
         path.write_text("frame a\nfocal a nan\nfocal THETA 1.0\n")
@@ -130,6 +153,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_knowledge_sum_beyond_float_range(self, tmp_path, capsys):
+        ev = tmp_path / "ev.mass"
+        ks = tmp_path / "ks.know"
+        ev.write_text(SHUTTER_EVIDENCE)
+        ks.write_text("hypothesis shutter\nframe long low next-to\n"
+                      "focal long 1e308\nfocal low 1e308\n")
+        assert main(["verify", "--evidence", str(ev), "--knowledge", str(ks)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mass 1e+308 on long outside (0, 1]\n"
 
     def test_knowledge_frame_declared_twice(self, tmp_path, capsys):
         ev = tmp_path / "ev.mass"
@@ -267,3 +301,92 @@ class TestPipeline:
     def test_missing_image(self, tmp_path, capsys):
         assert main(["pipeline", str(tmp_path / "none.pgm")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# tokens of the mass and knowledge grammars: (common, rare) pairs, the rare
+# ones malformed, out of range or at the edges of float
+HYPOTHESES = (["hypothesis h"], ["", "hypothesis", "hypothesis h h"])
+FRAMES = (["frame a b c"], ["frame", "frame a b", "frame a a", "frame THETA a b c",
+                            "frame a&b !a c", "frame " + " ".join("abcdefghijklmnopq")])
+CLAUSES = (["a", "b", "c", "a&b", "b&c", "a&b&c", "THETA"],
+           ["!a", "a&!b", "a|b", "b|c", "a&!a", "!a|b", "d", "THETA&a", "a|", "a&b|c"])
+MASSES = (["1", "0.5", "0.25", "1e308", "9e307"],
+          ["0.1", "0", "-0.0", "1e-320", "-0.5", "inf", "-inf", "nan", "1.0000000001", "x"])
+
+
+@st.composite
+def evidence_texts(draw, knowledge: bool):
+    """A mass text, or a knowledge text, of one to four focal lines."""
+    def token(tokens):   # a rare one about one time in ten
+        return draw(st.sampled_from(draw(st.sampled_from(tokens[:1] * 9 + tokens[1:]))))
+
+    focals = [(token(CLAUSES), token(MASSES)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):   # the rest of the unit mass on theta
+        focals.append(("THETA", repr(1 - sum(float(m) for _, m in focals if m != "x"))))
+    lines = [token(HYPOTHESES)] if knowledge else []
+    lines += [token(FRAMES)] + [f"focal {clause} {mass}" for clause, mass in focals]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(evidence_texts(False), min_size=1, max_size=3), evidence_texts(True))
+def test_evidence_commands_never_raise(tmp_path_factory, masses, knowledge):
+    """Any mass and knowledge text built from the grammar's tokens gives
+    exit status 0 or 2, never a Python exception (ROADMAP aim 3).  Each
+    mass text, and a vacuous one that always parses, is verified against
+    the knowledge text."""
+    work = tmp_path_factory.mktemp("evidence")
+    paths = []
+    for k, text in enumerate(masses + ["frame a b c\nfocal THETA 1\n", knowledge]):
+        paths.append(str(work / f"{k}.txt"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    out = str(work / "out.txt")
+    assert main(["combine", *paths[:-2], "--out", out]) in (0, 2)
+    for path in paths[:-1]:
+        assert main(["verify", "--evidence", path, "--knowledge", paths[-1],
+                     "--out", out]) in (0, 2)
+
+
+class TestLazyImports:
+    def test_evidence_commands_load_no_numpy(self, tmp_path):
+        (tmp_path / "a.mass").write_text(MASS_A)
+        (tmp_path / "b.mass").write_text(MASS_B)
+        (tmp_path / "ks.know").write_text("hypothesis window\nframe window v-sibl h-sibl\n"
+                                          "focal window 0.6\nfocal THETA 0.4\n")
+        probe = ("import sys\n"
+                 "from dsvision import cli\n"
+                 "codes = [cli.main(['combine', 'a.mass', 'b.mass', '--out', 'ab.mass']),\n"
+                 "         cli.main(['verify', '--evidence', 'ab.mass', '--knowledge', 'ks.know'])]\n"
+                 "print(codes, 'numpy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(dsvision.__file__))
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, text=True,
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+                              check=True)
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+    def test_package_names_resolve(self):
+        for name in dsvision.__all__:
+            assert getattr(dsvision, name).__name__ == name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dsvision.no_such_name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+
+    def test_pipeline_calls_the_names_set_on_cli(self, facade_pgm, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        names = ["read_pgm", "run_pipeline", "format_report", "write_overlay"]
+        for name in names:
+            monkeypatch.setattr(cli, name, spy(name))
+        assert main(["pipeline", facade_pgm, "--out", str(tmp_path / "r.tsv"),
+                     "--overlay", str(tmp_path / "o.ppm")]) == 0
+        assert calls == names

@@ -301,6 +301,22 @@ class TestReadPgm:
         with pytest.raises(TruncatedDataError, match="non-numeric sample in P2 data"):
             read_pgm(write_p2(tmp_path / "img.pgm", 2, 2, 255, body))
 
+    @pytest.mark.parametrize("width, height", [(100_000_000_000, 100_000_000_000),
+                                               (4000, 4000)])
+    def test_p2_header_claims_more_than_the_body_holds(self, tmp_path, width, height):
+        # a sample takes at least two bytes, so nothing the size of the
+        # header's claim is allocated
+        path = write_p2(tmp_path / "img.pgm", width, height, 255, b"1 2 3")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedDataError,
+                               match=f"expected {width * height} samples, got 3"):
+                read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
     @pytest.mark.parametrize("body", [b"", b" ", b"\t\n\r\x0b\x0c "])
     def test_p2_blank_body_has_no_samples(self, tmp_path, body):
         assert read_pgm(write_p2(tmp_path / "a.pgm", 0, 0, 255, body)).shape == (0, 0)
