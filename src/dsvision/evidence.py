@@ -54,6 +54,8 @@ class Frame:
         for name in self.atoms:
             if not name:
                 raise EmptyNameError("atom names must be non-empty")
+            if name == THETA_TOKEN or any(op in name for op in "&|!"):
+                raise ParseError(f"atom {name!r} clashes with the clause syntax (THETA & | !)")
             if name in seen:
                 raise DuplicateAtomError(f"duplicate atom {name!r}")
             seen.add(name)

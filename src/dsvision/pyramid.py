@@ -22,7 +22,8 @@ from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, Pa
                      RectOutOfBoundsError)
 from .evidence import text_lines
 from .knowledge import KnowledgeSource
-from .stages import stage_a_belief, stage_b_belief, stage_c_belief, stage_c_conflict
+from .stages import (sibling_knowledge, stage_a_belief, stage_b_belief, stage_c_belief,
+                     stage_c_conflict, window_knowledge)
 
 # direction convention: gradient angle quantized to multiples of 45 degrees;
 # d and d+4 are the same orientation with opposite contrast polarity
@@ -111,6 +112,8 @@ def parse_config(text: str) -> PipelineConfig:
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in cfg_kwargs or key in table_kwargs:
+            raise ParseError(f"line {lineno}: key {key!r} set twice")
         try:
             if key in _INT_KEYS:
                 cfg_kwargs[key] = int(value)
@@ -280,10 +283,6 @@ class Rect:
     def right(self) -> int:
         return self.left + self.width
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.top + self.height / 2.0, self.left + self.width / 2.0)
-
 
 @dataclass
 class CandidateArea:
@@ -353,31 +352,6 @@ def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
     return lines[root == np.arange(len(root))]
 
 
-def _line_pairs(pixel_row, start, end, covering, probing, min_sep, max_sep, skip):
-    """(probing, covering) index pairs of lines min_sep..max_sep pixel rows
-    apart where the covering line holds the probing line's start column,
-    not counting the covering line's first ``skip`` columns.
-
-    Every column of every covering line is one sorted (column, pixel row)
-    key, so each probe is two binary searches.
-    """
-    span = int(pixel_row.max(initial=0)) + 1
-    line, column = _ranges(start[covering] + skip, end[covering] - start[covering] + 1 - skip)
-    line = covering[line]
-    key = column * span + pixel_row[line]
-    order = np.argsort(key, kind="stable")
-    key, line = key[order], line[order]
-    base, at = start[probing] * span, pixel_row[probing]
-    min_sep, max_sep = min(min_sep, span), min(max_sep, span)
-    found = []
-    for lo, hi in ((at - max_sep, at - min_sep), (at + min_sep, at + max_sep)):
-        first = np.searchsorted(key, base + np.clip(lo, 0, span), "left")
-        last = np.searchsorted(key, base + np.clip(hi, -1, span - 1), "right")
-        owner, hit = _ranges(first, np.maximum(last - first, 0))
-        found.append((probing[owner], line[hit]))
-    return [np.concatenate(side) for side in zip(*found)]
-
-
 def find_window_candidates(long_edges: np.ndarray,
                            config: PipelineConfig = PipelineConfig()) -> list[CandidateArea]:
     """Rectangles spanned by opposite-polarity horizontal long-edge pairs.
@@ -387,19 +361,19 @@ def find_window_candidates(long_edges: np.ndarray,
     are deduplicated in favor of the tightest pair; ids follow raster order
     of the top edge.
 
-    Each pair is found once, at the later of the two start columns, so work
-    and memory follow the grid and the pairs found, never all line pairs.
+    Every line of one polarity is tested against every line of the other
+    at once.  A base of at most 128 has a 32x32 level-5 grid, which holds at
+    most 512 lines of each polarity (a checkerboard of single cells), so
+    the test takes at most 512 x 512 entries.
     """
     direction, row_min, row_max, start, end = _edge_lines(long_edges).T
     pixel_row = 2 * (row_min + row_max + 1)
     d2, d6 = (np.flatnonzero(direction == d) for d in VERTICAL_GRADIENT)
-    seps = config.pair_min_sep, config.pair_max_sep
-    a1, b1 = _line_pairs(pixel_row, start, end, d6, d2, *seps, skip=0)
-    b2, a2 = _line_pairs(pixel_row, start, end, d2, d6, *seps, skip=1)
-    a, b = np.concatenate((a1, a2)), np.concatenate((b1, b2))
-    lo, hi = np.maximum(start[a], start[b]), np.minimum(end[a], end[b])
-    top = np.minimum(pixel_row[a], pixel_row[b])
-    sep = np.abs(pixel_row[a] - pixel_row[b])
+    sep = np.abs(pixel_row[d2, None] - pixel_row[d6])
+    lo, hi = np.maximum(start[d2, None], start[d6]), np.minimum(end[d2, None], end[d6])
+    i, j = np.nonzero((lo <= hi) & (config.pair_min_sep <= sep) & (sep <= config.pair_max_sep))
+    lo, hi, sep = lo[i, j], hi[i, j], sep[i, j]   # the pairs' own, freeing the tables
+    top = np.minimum(pixel_row[d2[i]], pixel_row[d6[j]])
     # sorted distinct rects; np.unique would import numpy.ma, 1.6 MB resident
     rects = np.column_stack((top, lo * 4, sep, (hi - lo + 1) * 4))
     rects = rects[np.lexsort(rects.T[::-1])]
@@ -431,26 +405,24 @@ def _rects(cands: list[CandidateArea]) -> np.ndarray:
     return np.array(rects, dtype=np.intp).reshape(-1, 4).T
 
 
-def measure_candidates(p: Pyramid, cands: list[CandidateArea], micro: EdgeField) -> np.ndarray:
-    """Shape, texture and boundary measurements over each candidate rect,
-    as rows of elongation, edgedness, hv_d (inf where a rect holds no
-    diagonal edge) and left and right side coverage, one column per
-    candidate.
+def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.ndarray:
+    """Shape, texture and boundary measurements over each of the (4, N)
+    (top, left, height, width) candidate rects, as rows of elongation,
+    edgedness, hv_d (inf where a rect holds no diagonal edge) and left and
+    right side coverage, one column per candidate.
 
     Edge counts are sums over the rect's rows of one running count per row
     of the axis-aligned and diagonal micro-edges.  A side's coverage is the
     fraction of the rect's rows holding a vertical micro-edge within one
     pixel of the side column.
     """
-    if not cands:
-        return np.zeros((5, 0))
     n = p.base.shape[0]
-    top, left, height, width = _rects(cands)
+    top, left, height, width = rects
     bottom, right = top + height, left + width
     bad = ((np.minimum(top, left) < 0) | (np.maximum(bottom, right) > n)
            | (np.minimum(height, width) < 1))
     if bad.any():
-        r = cands[int(bad.argmax())].rect
+        r = Rect(*rects[:, bad.argmax()].tolist())
         raise RectOutOfBoundsError(f"rect {r} empty or outside {n}x{n} base")
     codes, vertical = _DIRECTION_CLASSES.take(micro.directions, axis=1, mode="wrap")
     counts = np.zeros((n, n + 1), dtype=np.int64)   # counts[row, k]: the row's first k pixels
@@ -471,36 +443,29 @@ def measure_candidates(p: Pyramid, cands: list[CandidateArea], micro: EdgeField)
     ))
 
 
-def _columns(cands: list[CandidateArea], *names: str) -> np.ndarray:
-    """The named fields of the candidates as float rows, one per name."""
-    values = [[getattr(c, name) for name in names] for c in cands]
-    return np.array(values, dtype=np.float64).reshape(-1, len(names)).T
-
-
-def stage_a_beliefs(cands: list[CandidateArea], p: Pyramid, micro: EdgeField,
+def stage_a_beliefs(rects: np.ndarray, p: Pyramid, micro: EdgeField,
                     window_ks: KnowledgeSource,
-                    config: PipelineConfig = PipelineConfig()) -> None:
-    """Measure each candidate and verify the feature evidence."""
-    supports = feature_supports(*measure_candidates(p, cands, micro), config.tables,
-                                config.quality_weight)
-    bel_a = stage_a_belief(*supports, window_ks=window_ks)
-    for c, s, bel in zip(cands, zip(*(column.tolist() for column in supports)), bel_a.tolist()):
-        c.supports, c.bel_a = s, bel
+                    config: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Measure each candidate and verify the feature evidence: the (4, N)
+    feature supports and the stage A beliefs."""
+    supports = np.array(feature_supports(*measure_candidates(p, rects, micro), config.tables,
+                                         config.quality_weight))
+    return supports, stage_a_belief(*supports, window_ks=window_ks)
 
 
-def sibling_search(cands: list[CandidateArea],
-                   config: PipelineConfig = PipelineConfig()) -> None:
-    """Lateral search among surviving candidates for aligned neighbors.
+def sibling_search(rects: np.ndarray, bel_a: np.ndarray,
+                   config: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Lateral search among surviving candidates for aligned neighbors:
+    the v_sibl and h_sibl support of each.
 
     A horizontal sibling shares the row (vertical centers within the
     tolerance) without overlapping horizontally; vertical siblings swap the
     axes.  Candidates below the survivor threshold get no sibling support.
     """
-    (bel_a,) = _columns(cands, "bel_a")
     alive = np.flatnonzero(bel_a >= config.survivor_threshold)
-    support = np.zeros((2, len(cands)))   # h_sibl, v_sibl
+    support = np.zeros((2, len(bel_a)))   # v_sibl, h_sibl
     if len(alive) > 1:   # a lone survivor has no sibling
-        top, left, height, width = _rects(cands)[:, alive]
+        top, left, height, width = rects[:, alive]
         bottom, right = top + height, left + width
         cy, cx = top + height / 2.0, left + width / 2.0
         tol = config.sibling_tolerance * 4  # level-5 cells in base pixels
@@ -510,9 +475,8 @@ def sibling_search(cands: list[CandidateArea],
         v_overlap = (top[:, None] < bottom) & (top < bottom[:, None])
         h = (apart & ~h_overlap & (np.abs(cy[:, None] - cy) <= tol)).any(axis=1)
         v = (apart & ~v_overlap & (np.abs(cx[:, None] - cx) <= tol)).any(axis=1)
-        support[:, alive] = np.where([h, v], config.sibling_support, 0.0)
-    for c, (h_sibl, v_sibl) in zip(cands, support.T.tolist()):
-        c.h_sibl, c.v_sibl = h_sibl, v_sibl
+        support[:, alive] = np.where([v, h], config.sibling_support, 0.0)
+    return support[0], support[1]
 
 
 # the four neighbours after a cell in raster order, 8-connectivity
@@ -551,46 +515,40 @@ def _clusters(grid: np.ndarray, reach: int) -> np.ndarray:
     return label[node[:h, :w][grid]]
 
 
-def building_boundary(long_edges: np.ndarray, cands: list[CandidateArea],
-                      config: PipelineConfig = PipelineConfig()) -> None:
-    """Flag candidates outside the building region with non-window support.
+def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
+                      config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+    """The non-window support of each candidate: set outside the building
+    region.
 
     The building region is the bounding box of the densest connected
     cluster of long-edge cells (cells within ``cluster_distance`` level-5
     cells of each other in both rows and columns); a tie goes to the
     cluster whose first cell in raster order comes last.  With no long
-    edges at all, every candidate stays 0.
+    edges at all, every candidate gets 0.
     """
-    outside = np.zeros(len(cands), dtype=bool)
-    if len(long_edges) and cands:
+    outside = np.zeros(rects.shape[1], dtype=bool)
+    if len(long_edges) and rects.size:
         grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)
         grid[long_edges[:, 0], long_edges[:, 1]] = True
         rows, cols = np.nonzero(grid)
         cluster = _clusters(grid, config.cluster_distance)
         size = np.bincount(cluster)
         members = cluster == np.flatnonzero(size == size.max())[-1]
-        top, left, height, width = _rects(cands)
-        cy, cx = top + height / 2.0, left + width / 2.0
+        cy, cx = rects[:2] + rects[2:] / 2.0
         outside = ~((rows[members].min() * 4 <= cy) & (cy < (rows[members].max() + 1) * 4)
                     & (cols[members].min() * 4 <= cx) & (cx < (cols[members].max() + 1) * 4))
-    support = np.where(outside, config.non_window_support, 0.0)
-    for c, value in zip(cands, support.tolist()):
-        c.non_window = value
+    return np.where(outside, config.non_window_support, 0.0)
 
 
-def stage_b_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:
-    window, v_sibl, h_sibl = _columns(cands, "bel_a", "v_sibl", "h_sibl")
-    for c, bel in zip(cands, stage_b_belief(window, v_sibl, h_sibl, sibling_ks).tolist()):
-        c.bel_b = bel
+def stage_b_beliefs(bel_a, v_sibl, h_sibl, sibling_ks: KnowledgeSource) -> np.ndarray:
+    return stage_b_belief(bel_a, v_sibl, h_sibl, sibling_ks)
 
 
-def stage_c_beliefs(cands: list[CandidateArea], sibling_ks: KnowledgeSource) -> None:
-    window, non_window, v_sibl, h_sibl = _columns(cands, "bel_a", "non_window",
-                                                  "v_sibl", "h_sibl")
-    bel_c = stage_c_belief(window, non_window, v_sibl, h_sibl, sibling_ks)
-    conflict = stage_c_conflict(window, non_window)
-    for c, bel, k in zip(cands, bel_c.tolist(), conflict.tolist()):
-        c.bel_c, c.conflict = bel, k
+def stage_c_beliefs(bel_a, non_window, v_sibl, h_sibl,
+                    sibling_ks: KnowledgeSource) -> tuple[np.ndarray, np.ndarray]:
+    """The stage C beliefs and their combination conflict K."""
+    return (stage_c_belief(bel_a, non_window, v_sibl, h_sibl, sibling_ks),
+            stage_c_conflict(bel_a, non_window))
 
 
 @dataclass(frozen=True)
@@ -606,8 +564,11 @@ def run_pipeline(image: np.ndarray,
                  config: PipelineConfig = PipelineConfig(),
                  window_ks: KnowledgeSource | None = None,
                  sibling_ks: KnowledgeSource | None = None) -> PipelineResult:
-    """The full level-synchronous chain, from pixels to staged beliefs."""
-    from .stages import sibling_knowledge, window_knowledge
+    """The full level-synchronous chain, from pixels to staged beliefs.
+
+    The candidate stages take and return arrays; the records that
+    ``find_window_candidates`` made are filled in once, at the end.
+    """
     window_ks = window_ks if window_ks is not None else window_knowledge()
     sibling_ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
     p = build_pyramid(image)
@@ -615,9 +576,14 @@ def run_pipeline(image: np.ndarray,
     short = aggregate_short_edges(p, micro, config)
     long_edges = aggregate_long_edges(p, short, config)
     cands = find_window_candidates(long_edges, config)
-    stage_a_beliefs(cands, p, micro, window_ks, config)
-    sibling_search(cands, config)
-    stage_b_beliefs(cands, sibling_ks)
-    building_boundary(long_edges, cands, config)
-    stage_c_beliefs(cands, sibling_ks)
+    rects = _rects(cands)
+    supports, bel_a = stage_a_beliefs(rects, p, micro, window_ks, config)
+    v_sibl, h_sibl = sibling_search(rects, bel_a, config)
+    bel_b = stage_b_beliefs(bel_a, v_sibl, h_sibl, sibling_ks)
+    non_window = building_boundary(long_edges, rects, config)
+    bel_c, conflict = stage_c_beliefs(bel_a, non_window, v_sibl, h_sibl, sibling_ks)
+    fields = np.vstack((supports, bel_a, bel_b, bel_c, v_sibl, h_sibl, non_window, conflict))
+    for c, row in zip(cands, fields.T.tolist()):
+        c.supports = tuple(row[:4])
+        c.bel_a, c.bel_b, c.bel_c, c.v_sibl, c.h_sibl, c.non_window, c.conflict = row[4:]
     return PipelineResult(p, micro, short, long_edges, cands)

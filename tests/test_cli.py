@@ -102,6 +102,18 @@ class TestCombine:
         assert captured.out == ""
         assert captured.err == "error: mass text: mass 1e+308 on a exceeds 1\n"
 
+    def test_atom_named_theta(self, tmp_path, capsys):
+        # with an atom THETA, both it and the whole frame printed as THETA,
+        # and verify read the combination back as something else
+        a, b = tmp_path / "a.mass", tmp_path / "b.mass"
+        a.write_text("frame THETA x\nfocal THETA&THETA 0.6\nfocal THETA 0.4\n")
+        b.write_text("frame THETA x\nfocal x 0.5\nfocal THETA 0.5\n")
+        assert main(["combine", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: atom 'THETA' clashes with the clause syntax "
+                                "(THETA & | !)\n")
+
     def test_nan_mass(self, tmp_path, capsys):
         path = tmp_path / "nan.mass"
         path.write_text("frame a\nfocal a nan\nfocal THETA 1.0\n")
@@ -243,7 +255,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("text", [
         "workers = 4\n", "edge_threshold = nan\n", "pair_min_sep = 60\npair_max_sep = 40\n",
-    ], ids=["workers", "nan-threshold", "min-above-max-sep"])
+        "edge_threshold = 32\nedge_threshold = 1000\n",
+    ], ids=["workers", "nan-threshold", "min-above-max-sep", "key-set-twice"])
     def test_bad_config_file(self, facade_pgm, tmp_path, capsys, text):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text(text)

@@ -72,6 +72,12 @@ class TestMakeFrame:
         with pytest.raises(EmptyNameError):
             make_frame([])
 
+    @pytest.mark.parametrize("name", ["THETA", "a&b", "a|b", "!a"])
+    def test_name_clashing_with_the_clause_syntax(self, name):
+        # such an atom would print as, or parse into, a different clause
+        with pytest.raises(ParseError, match=f"atom {name!r} clashes with the clause syntax"):
+            make_frame(["x", name])
+
 
 class TestClause:
     def test_contradictory_conjunction_rejected(self):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
-from dsvision import pyramid
+from dsvision import pyramid, stages
 from dsvision.errors import (BadDimensionsError, DSVisionError, InvalidParamsError,
                              OutOfRangeError, ParseError, RectOutOfBoundsError)
 from dsvision.fixtures import synthetic_facade
 from dsvision.pyramid import (
     _COLLINEAR_PAIRS,
     NO_EDGE,
-    CandidateArea,
     EdgeField,
     PipelineConfig,
     MAX_PIXEL,
@@ -39,6 +38,12 @@ from dsvision.report import format_report, report_from_result, write_overlay
 def edges(rows):
     """(row, col, direction, count) edge rows as the aggregates return them."""
     return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def rect_columns(rects):
+    """(top, left, height, width) tuples as the (4, N) int array that the
+    candidate stage layers take."""
+    return np.array(rects, dtype=np.intp).reshape(-1, 4).T
 
 
 def degree_chain(angle):
@@ -608,8 +613,14 @@ class TestFindWindowCandidates:
         assert heights == [8]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.3), st.integers(1, 12),
-           st.integers(0, 60), st.integers(1, 20), st.integers(1, 40))
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.3) | st.floats(0.3, 0.6),
+           st.integers(1, 12), st.integers(0, 60), st.integers(1, 20) | st.integers(21, 32),
+           st.integers(1, 40))
+    # the full level-5 grid of a 128 base, sparse to dense
+    @example(1, 0.3, 1, 60, 32, 32)
+    @example(2, 0.45, 4, 44, 32, 32)
+    @example(3, 0.6, 1, 200, 32, 32)
+    @example(4, 0.6, 10, 2, 32, 32)
     def test_random_edges_match_scalar_reference(self, seed, density, min_sep, extra_sep,
                                                  rows, cols):
         long_edges = random_long_edges(seed, rows, cols, density)
@@ -646,38 +657,36 @@ class TestMeasureFeatures:
     def test_elongation_arithmetic(self):
         p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        [elongation], *_ = measure_candidates(p, [CandidateArea(1, Rect(4, 4, 20, 5))], micro)
+        [elongation], *_ = measure_candidates(p, rect_columns([(4, 4, 20, 5)]), micro)
         assert elongation == pytest.approx(4.0)
 
     def test_empty_interior(self):
         p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        _, [edgedness], [hv_d], _, _ = measure_candidates(
-            p, [CandidateArea(1, Rect(4, 4, 8, 8))], micro)
+        _, [edgedness], [hv_d], _, _ = measure_candidates(p, rect_columns([(4, 4, 8, 8)]), micro)
         assert edgedness == 0.0
         assert hv_d == np.inf
 
     def test_no_candidates(self):
         p = build_pyramid(np.zeros((16, 16)))
-        got = measure_candidates(p, [], edge_field(16, []))
+        got = measure_candidates(p, rect_columns([]), edge_field(16, []))
         assert got.shape == (5, 0) and got.dtype == np.float64
 
     def test_out_of_bounds(self):
         p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [])
-        inside = CandidateArea(1, Rect(0, 0, 4, 4))
-        for rect in (Rect(10, 10, 8, 8), Rect(-1, 0, 4, 4), Rect(0, -1, 4, 4),
-                     Rect(4, 4, 0, 4), Rect(4, 4, 4, 0)):   # the last two are empty
+        inside = (0, 0, 4, 4)
+        for rect in ((10, 10, 8, 8), (-1, 0, 4, 4), (0, -1, 4, 4),
+                     (4, 4, 0, 4), (4, 4, 4, 0)):   # the last two are empty
             with pytest.raises(RectOutOfBoundsError):
-                measure_candidates(p, [inside, CandidateArea(2, rect)], micro)
+                measure_candidates(p, rect_columns([inside, rect]), micro)
 
     def test_out_of_bounds_names_the_first_bad_rect(self):
         p = build_pyramid(np.zeros((16, 16)))
-        cands = [CandidateArea(1, Rect(0, 0, 4, 4)), CandidateArea(2, Rect(4, 4, 0, 4)),
-                 CandidateArea(3, Rect(10, 10, 8, 8))]
+        rects = rect_columns([(0, 0, 4, 4), (4, 4, 0, 4), (10, 10, 8, 8)])
         with pytest.raises(RectOutOfBoundsError, match=r"^rect Rect\(top=4, left=4, height=0, "
                                                        r"width=4\) empty or outside 16x16 base$"):
-            measure_candidates(p, cands, edge_field(16, []))
+            measure_candidates(p, rects, edge_field(16, []))
 
     def test_painted_window_is_axis_dominated(self):
         fx = synthetic_facade()
@@ -685,82 +694,81 @@ class TestMeasureFeatures:
         top, left, height, width = fx.windows[0]
         cand = next(c for c in result.candidates
                     if c.rect == Rect(top, left, height, width))
-        _, _, [hv_d], [left], [right] = measure_candidates(result.pyramid, [cand], result.micro)
+        _, _, [hv_d], [left], [right] = measure_candidates(
+            result.pyramid, rect_columns([(top, left, height, width)]), result.micro)
         assert hv_d >= 4
         assert left >= 0.75
         assert right >= 0.75
         assert cand.supports[1:] == (0.4, 0.6, 0.6)
 
 
-def make_candidate(cid, top, left, height=12, width=16, bel_a=0.4):
-    c = CandidateArea(cid, Rect(top, left, height, width))
-    c.bel_a = bel_a
-    return c
+def window(top, left, height=12, width=16, bel_a=0.4):
+    """A (top, left, height, width, bel_a) candidate spec."""
+    return (top, left, height, width, bel_a)
 
 
-def ref_sibling_search(cands, config=PipelineConfig()):
+def siblings(specs, config=PipelineConfig()):
+    """``sibling_search`` on candidate specs: the (h_sibl, v_sibl) of each."""
+    v_sibl, h_sibl = sibling_search(rect_columns([spec[:4] for spec in specs]),
+                                    np.array([spec[4] for spec in specs], dtype=np.float64),
+                                    config)
+    return list(zip(h_sibl.tolist(), v_sibl.tolist()))
+
+
+def ref_sibling_search(specs, config=PipelineConfig()):
     """Reference: every ordered pair of survivors tested in turn; the
-    (h_sibl, v_sibl) of each candidate, 0 for the others."""
-    survivors = [c for c in cands if c.bel_a >= config.survivor_threshold]
+    (h_sibl, v_sibl) of each candidate spec, 0 for the others."""
+    survivors = [k for k, spec in enumerate(specs) if spec[4] >= config.survivor_threshold]
     tol = config.sibling_tolerance * 4
     found = {}
-    for c in survivors:
-        cy, cx = c.rect.center
+    for k in survivors:
+        top, left, height, width, _ = specs[k]
+        cy, cx = top + height / 2.0, left + width / 2.0
         h = v = 0.0
         for other in survivors:
-            if other is c:
+            if other == k:
                 continue
-            oy, ox = other.rect.center
-            h_overlap = c.rect.left < other.rect.right and other.rect.left < c.rect.right
-            v_overlap = c.rect.top < other.rect.bottom and other.rect.top < c.rect.bottom
+            o_top, o_left, o_height, o_width, _ = specs[other]
+            oy, ox = o_top + o_height / 2.0, o_left + o_width / 2.0
+            h_overlap = left < o_left + o_width and o_left < left + width
+            v_overlap = top < o_top + o_height and o_top < top + height
             if abs(oy - cy) <= tol and not h_overlap:
                 h = config.sibling_support
             if abs(ox - cx) <= tol and not v_overlap:
                 v = config.sibling_support
-        found[id(c)] = (h, v)
-    return [found.get(id(c), (0.0, 0.0)) for c in cands]
+        found[k] = (h, v)
+    return [found.get(k, (0.0, 0.0)) for k in range(len(specs))]
 
 
 class TestSiblingSearch:
     def test_single_candidate_no_siblings(self):
-        cands = [make_candidate(1, 10, 10)]
-        sibling_search(cands)
-        assert (cands[0].v_sibl, cands[0].h_sibl) == (0.0, 0.0)
+        assert siblings([window(10, 10)]) == [(0.0, 0.0)]
 
     def test_row_of_three(self):
-        cands = [make_candidate(i + 1, 10, 10 + 24 * i) for i in range(3)]
-        sibling_search(cands)
-        for c in cands:
-            assert c.h_sibl == 0.6
-            assert c.v_sibl == 0.0
+        assert siblings([window(10, 10 + 24 * i) for i in range(3)]) == [(0.6, 0.0)] * 3
 
     def test_grid_gets_both(self):
-        cands = [
-            make_candidate(4 * r + col + 1, 10 + 20 * r, 10 + 24 * col)
-            for r in range(3) for col in range(4)
-        ]
-        sibling_search(cands)
-        assert all(c.v_sibl == 0.6 and c.h_sibl == 0.6 for c in cands)
+        specs = [window(10 + 20 * r, 10 + 24 * col) for r in range(3) for col in range(4)]
+        assert siblings(specs) == [(0.6, 0.6)] * 12
 
     def test_losers_do_not_count(self):
-        strong = make_candidate(1, 10, 10)
-        weak = make_candidate(2, 10, 40, bel_a=0.1)
-        sibling_search([strong, weak])
-        assert strong.h_sibl == 0.0
+        [(strong_h, _), _] = siblings([window(10, 10), window(10, 40, bel_a=0.1)])
+        assert strong_h == 0.0
 
     def test_overlapping_extents_rejected(self):
-        a = make_candidate(1, 10, 10)
-        b = make_candidate(2, 10, 18)  # horizontally overlapping
-        sibling_search([a, b])
-        assert a.h_sibl == 0.0 and b.h_sibl == 0.0
+        # the second is horizontally overlapping
+        assert [h for h, _ in siblings([window(10, 10), window(10, 18)])] == [0.0, 0.0]
 
     def test_second_call_clears_dropped_candidates(self):
-        cands = [make_candidate(1, 10, 10, bel_a=0.4), make_candidate(2, 10, 40, bel_a=0.5)]
-        sibling_search(cands)
-        assert [c.h_sibl for c in cands] == [0.6, 0.6]
+        rects = rect_columns([(10, 10, 12, 16), (10, 40, 12, 16)])
+        bel_a = np.array([0.4, 0.5])
+        kept = rects.copy(), bel_a.copy()
+        v_sibl, h_sibl = sibling_search(rects, bel_a)
+        assert h_sibl.tolist() == [0.6, 0.6]
         # a higher threshold drops the first; the second loses its only sibling
-        sibling_search(cands, PipelineConfig(survivor_threshold=0.45))
-        assert [(c.h_sibl, c.v_sibl) for c in cands] == [(0.0, 0.0), (0.0, 0.0)]
+        v_sibl, h_sibl = sibling_search(rects, bel_a, PipelineConfig(survivor_threshold=0.45))
+        assert (v_sibl.tolist(), h_sibl.tolist()) == ([0.0, 0.0], [0.0, 0.0])
+        assert rects.tobytes() == kept[0].tobytes() and bel_a.tobytes() == kept[1].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 20),
@@ -773,14 +781,9 @@ class TestSiblingSearch:
         # beliefs just below, at and above the threshold, or far below it
         config = PipelineConfig(survivor_threshold=threshold, sibling_tolerance=tolerance,
                                 sibling_support=support)
-        cands = []
-        for i, (top, left, height, width, offset) in enumerate(specs, 1):
-            c = make_candidate(i, top, left, height, width, bel_a=threshold + offset)
-            c.h_sibl = c.v_sibl = 0.9   # stale values from an earlier call
-            cands.append(c)
-        want = ref_sibling_search(cands, config)
-        sibling_search(cands, config)
-        assert [(c.h_sibl, c.v_sibl) for c in cands] == want
+        specs = [window(top, left, height, width, bel_a=threshold + offset)
+                 for top, left, height, width, offset in specs]
+        assert siblings(specs, config) == ref_sibling_search(specs, config)
 
 
 class TestBuildingBoundary:
@@ -791,17 +794,12 @@ class TestBuildingBoundary:
         long_edges = [seg for row in (2, 4, 6, 8)
                       for seg in self.make_cluster(row, 2)]
         long_edges += [(25, 25, 2, 2)]  # lone distant edge
-        inside = make_candidate(1, 16, 12)
-        outside = make_candidate(2, 100, 100)
-        building_boundary(edges(long_edges), [inside, outside])
-        assert inside.non_window == 0.0
-        assert outside.non_window == 0.5
+        inside, outside = (16, 12, 12, 16), (100, 100, 12, 16)
+        non_window = building_boundary(edges(long_edges), rect_columns([inside, outside]))
+        assert non_window.tolist() == [0.0, 0.5]
 
     def test_no_edges_all_zero(self):
-        c = make_candidate(1, 10, 10)
-        c.non_window = 0.5
-        building_boundary(edges([]), [c])
-        assert c.non_window == 0.0
+        assert building_boundary(edges([]), rect_columns([(10, 10, 12, 16)])).tolist() == [0.0]
 
     def test_facade_decoy_flagged(self):
         fx = synthetic_facade()
@@ -829,14 +827,13 @@ class TestBuildingBoundary:
         long_edges = random_long_edges(seed, rows, cols, density)
         # a probe at (4k, 4m) has its center inside the box exactly when
         # level-5 cell (k, m) is
-        probes = [make_candidate(0, 4 * k, 4 * m, height=1, width=1)
-                  for k in range(rows + 1) for m in range(cols + 1)]
-        building_boundary(long_edges, probes, PipelineConfig(cluster_distance=dist))
+        probes = [(4 * k, 4 * m, 1, 1) for k in range(rows + 1) for m in range(cols + 1)]
+        non_window = building_boundary(long_edges, rect_columns(probes),
+                                       PipelineConfig(cluster_distance=dist))
         box = ref_building_box(long_edges.tolist(), dist)
-        for c in probes:
-            inside = box is None or (box[0] <= c.rect.top < box[1]
-                                     and box[2] <= c.rect.left < box[3])
-            assert c.non_window == (0.0 if inside else 0.5), (c.rect, box)
+        for (top, left, _, _), value in zip(probes, non_window.tolist()):
+            inside = box is None or (box[0] <= top < box[1] and box[2] <= left < box[3])
+            assert value == (0.0 if inside else 0.5), (top, left, box)
 
     @pytest.mark.parametrize("dist", [1, 2, 10**6])
     def test_one_labelling_call(self, monkeypatch, dist):
@@ -848,7 +845,7 @@ class TestBuildingBoundary:
 
         result = run_pipeline(synthetic_facade().image)
         monkeypatch.setattr(pyramid, "_label", counted)
-        building_boundary(result.long_edges, result.candidates,
+        building_boundary(result.long_edges, pyramid._rects(result.candidates),
                           PipelineConfig(cluster_distance=dist))
         assert len(calls) == 1
 
@@ -857,15 +854,51 @@ class TestBuildingBoundary:
         # (dr, dc) offsets' links at once would take over 100 MB
         cells = np.argwhere(np.ones((64, 64), dtype=bool))
         long_edges = np.column_stack((cells, np.full((len(cells), 2), 2)))
-        cands = [make_candidate(1, 8, 8)]
+        rects = rect_columns([(8, 8, 12, 16)])
         tracemalloc.start()
         try:
-            building_boundary(long_edges, cands, PipelineConfig(cluster_distance=10**6))
+            non_window = building_boundary(long_edges, rects, PipelineConfig(cluster_distance=10**6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cands[0].non_window == 0.0
+        assert non_window.tolist() == [0.0]
         assert peak < 1024 * len(cells)   # under 4 MB: a constant per grid cell
+
+
+# the pyramid layers that perfbench/traced.py wraps by their module globals
+TRACED_LAYERS = ("build_pyramid", "extract_micro_edges", "aggregate_short_edges",
+                 "aggregate_long_edges", "find_window_candidates", "stage_a_beliefs",
+                 "sibling_search", "building_boundary", "stage_b_beliefs", "stage_c_beliefs")
+
+
+def test_traced_layer_contract(monkeypatch):
+    # run_pipeline calls each layer once through the module, no layer
+    # changes an array it is given, the very list find_window_candidates
+    # returned is filled in, and stage_c_belief is called through the module
+    calls, returns = dict.fromkeys(TRACED_LAYERS, 0), {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            before = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+            returns[name] = fn(*args, **kwargs)
+            assert [a.tobytes() for a in args if isinstance(a, np.ndarray)] == before, name
+            return returns[name]
+        return call
+
+    for name in TRACED_LAYERS:
+        monkeypatch.setattr(pyramid, name, counted(name, getattr(pyramid, name)))
+    result = run_pipeline(synthetic_facade().image)
+    assert calls == dict.fromkeys(TRACED_LAYERS, 1)
+    assert returns["find_window_candidates"] is result.candidates
+    report = format_report(report_from_result(result)).encode()
+    assert hashlib.sha256(report).hexdigest() == FACADE_REPORT_SHA256
+    assert all(type(s) is float for c in result.candidates for s in c.supports)
+    bel_c = [c.bel_c for c in result.candidates]
+    monkeypatch.setattr(pyramid, "stage_c_belief",
+                        lambda *args: stages.stage_c_belief(*args) + 1e-6)
+    shifted = [c.bel_c for c in run_pipeline(synthetic_facade().image).candidates]
+    assert shifted == [bel + 1e-6 for bel in bel_c]
 
 
 class TestStagedBeliefInvariants:
@@ -941,6 +974,17 @@ class TestParseConfig:
     def test_bad_value(self):
         with pytest.raises(ParseError):
             parse_config("edge_threshold = many")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("edge_threshold = 32\nedge_threshold = 1000\n", 2, "edge_threshold"),
+        ("pair_max_sep = 40\n# again\npair_max_sep = 40\n", 3, "pair_max_sep"),
+        ("boundary_bands = 0.5:0.6\nboundary_bands = 0.4:0.3\n", 2, "boundary_bands"),
+        ("low_edgedness = 0.1\nlow_edgedness = 0.2\n", 2, "low_edgedness"),
+    ], ids=["float", "int-after-a-comment", "bands", "table-float"])
+    def test_key_set_twice(self, text, line, key):
+        # the last value used to win silently
+        with pytest.raises(ParseError, match=f"^line {line}: key '{key}' set twice$"):
+            parse_config(text)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

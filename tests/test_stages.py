@@ -63,8 +63,7 @@ def ref_stage_c(window, non_window, v_sibl, h_sibl, ks):
     return verify(outcome.result, ks).bel, outcome.conflict
 
 
-def ref_measure_features(p, c, micro):
-    r = c.rect
+def ref_measure_features(p, r, micro):
     interior = micro.directions[r.top:r.bottom, r.left:r.right]
     edge_count = int(np.count_nonzero(interior != NO_EDGE))
     hv = int(np.count_nonzero(np.isin(interior, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)))
@@ -260,9 +259,12 @@ class TestBatchedStages:
         assert stage_c_belief(empty, empty, empty, empty).shape == (0,)
         p = build_pyramid(np.zeros((16, 16)))
         micro = EdgeField(np.full((16, 16), NO_EDGE, dtype=np.int8))
-        pyramid.stage_a_beliefs([], p, micro, window_knowledge())
-        pyramid.stage_b_beliefs([], sibling_knowledge())
-        pyramid.stage_c_beliefs([], sibling_knowledge())
+        rects = np.zeros((4, 0), dtype=np.intp)
+        supports, bel_a = pyramid.stage_a_beliefs(rects, p, micro, window_knowledge())
+        assert supports.shape == (4, 0) and bel_a.shape == (0,)
+        assert pyramid.stage_b_beliefs(empty, empty, empty, sibling_knowledge()).shape == (0,)
+        bel_c, conflict = pyramid.stage_c_beliefs(empty, empty, empty, empty, sibling_knowledge())
+        assert bel_c.shape == conflict.shape == (0,)
 
     def test_total_conflict(self):
         stage_c_belief(0.5, 0.5, 0.0, 0.0)   # known rows do not skip the check
@@ -356,14 +358,13 @@ class TestBatchedMeasurements:
         # rects against the first and the last column, and the whole base
         rects += [Rect(0, 0, side, 1), Rect(1, side - 1, side - 1, 1),
                   Rect(0, 0, side, side), Rect(2, side - 3, 3, 3)]
-        cands = [CandidateArea(i + 1, r) for i, r in enumerate(rects)]
-        got = measure_candidates(p, cands, micro)
-        assert got.T.tolist() == [ref_measure_features(p, c, micro) for c in cands]
+        got = measure_candidates(p, pyramid._rects([CandidateArea(0, r) for r in rects]), micro)
+        assert got.T.tolist() == [ref_measure_features(p, r, micro) for r in rects]
 
     def test_facade_candidates(self):
         result = run_pipeline(synthetic_facade().image)
-        got = measure_candidates(result.pyramid, result.candidates, result.micro)
-        assert got.T.tolist() == [ref_measure_features(result.pyramid, c, result.micro)
+        got = measure_candidates(result.pyramid, pyramid._rects(result.candidates), result.micro)
+        assert got.T.tolist() == [ref_measure_features(result.pyramid, c.rect, result.micro)
                                   for c in result.candidates]
         # stage A stores each candidate's supports as a tuple of floats
         supports = list(zip(*(s.tolist() for s in feature_supports(*got))))

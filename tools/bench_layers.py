@@ -15,6 +15,10 @@ checkout's own earlier layers, so each layer is timed on its own.  A
 checkout that remembers stage beliefs holds them from the ``run_pipeline``
 call that made the candidates, so its stage times are those of inputs seen
 before, as in a run over a fixed set of images.
+
+The candidate layers are called as array functions on the (4, N) rects of
+the candidates; a checkout whose candidate layers take lists instead (one
+from before they took arrays) gets ``null`` for each of them.
 """
 
 import json
@@ -49,6 +53,8 @@ images = {"facade": (facade, False),
           "p2_512": (np.kron(seeded, np.ones((4, 4), dtype=np.uint8)), True),
           "noise_128": (noise, False)}
 repeats, number = int(sys.argv[1]), int(sys.argv[2])
+ARRAY_LAYERS = ("measure_candidates", "stage_a_beliefs", "sibling_search", "stage_b_beliefs",
+                "building_boundary", "stage_c_beliefs")
 out = {}
 with tempfile.TemporaryDirectory() as work:
     for name, (image, ascii_) in images.items():
@@ -64,6 +70,14 @@ with tempfile.TemporaryDirectory() as work:
         overlay = os.path.join(work, name + ".ppm")
         result = pyramid.run_pipeline(image)
         cands = result.candidates
+        rects = pyramid._rects(cands)
+        try:
+            _, bel_a = pyramid.stage_a_beliefs(rects, p, micro, window_ks, config)
+            v_sibl, h_sibl = pyramid.sibling_search(rects, bel_a, config)
+            non_window = pyramid.building_boundary(long_edges, rects, config)
+            skipped = ()
+        except (TypeError, ValueError):   # the candidate layers take lists, not arrays
+            skipped = ARRAY_LAYERS
         calls = {
             "read_pgm": lambda: netpbm.read_pgm(path),
             "run_pipeline": lambda: pyramid.run_pipeline(image),
@@ -72,16 +86,18 @@ with tempfile.TemporaryDirectory() as work:
             "aggregate_short_edges": lambda: pyramid.aggregate_short_edges(p, micro, config),
             "aggregate_long_edges": lambda: pyramid.aggregate_long_edges(p, short, config),
             "find_window_candidates": lambda: pyramid.find_window_candidates(long_edges, config),
-            "measure_candidates": lambda: pyramid.measure_candidates(p, cands, micro),
-            "stage_a_beliefs": lambda: pyramid.stage_a_beliefs(cands, p, micro, window_ks, config),
-            "sibling_search": lambda: pyramid.sibling_search(cands, config),
-            "stage_b_beliefs": lambda: pyramid.stage_b_beliefs(cands, sibling_ks),
-            "building_boundary": lambda: pyramid.building_boundary(long_edges, cands, config),
-            "stage_c_beliefs": lambda: pyramid.stage_c_beliefs(cands, sibling_ks),
+            "measure_candidates": lambda: pyramid.measure_candidates(p, rects, micro),
+            "stage_a_beliefs": lambda: pyramid.stage_a_beliefs(rects, p, micro, window_ks, config),
+            "sibling_search": lambda: pyramid.sibling_search(rects, bel_a, config),
+            "stage_b_beliefs": lambda: pyramid.stage_b_beliefs(bel_a, v_sibl, h_sibl, sibling_ks),
+            "building_boundary": lambda: pyramid.building_boundary(long_edges, rects, config),
+            "stage_c_beliefs": lambda: pyramid.stage_c_beliefs(bel_a, non_window, v_sibl, h_sibl,
+                                                               sibling_ks),
             "write_overlay": lambda: report.write_overlay(p.base, cands, overlay),
             "format_report": lambda: report.format_report(report.report_from_result(result)),
         }
-        row = {f: round(min(timeit.repeat(call, repeat=repeats, number=number)) / number * 1e3, 4)
+        row = {f: None if f in skipped else
+               round(min(timeit.repeat(call, repeat=repeats, number=number)) / number * 1e3, 4)
                for f, call in calls.items()}
         row.update(short_edges=len(short), long_edges=len(long_edges), candidates=len(cands))
         out[name] = row
@@ -104,7 +120,8 @@ def main(argv):
             run, best = json.loads(proc.stdout), result.get(name)
             for image, row in run.items():
                 if best and isinstance(row, dict):   # counts are equal in every round
-                    run[image] = {key: min(value, best[image][key]) for key, value in row.items()}
+                    run[image] = {key: None if value is None else min(value, best[image][key])
+                                  for key, value in row.items()}
             result[name] = run
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

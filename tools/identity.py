@@ -11,6 +11,8 @@ process writes the ``facades``, ``noise`` and ``evidence`` inputs of seeds
   ``run_pipeline`` the micro-edge directions and both edge arrays, each
   candidate's rect, supports, ``bel_a/b/c``, siblings, non-window support
   and conflict K, and the report and overlay bytes of ``dsvision pipeline``;
+  for the seed-1 ``facades`` and ``noise`` inputs also the candidates and
+  the ``dsvision pipeline --config`` bytes under each of ``CONFIGS``;
 - an evidence input: the exit status and output bytes of ``dsvision
   combine`` and of ``dsvision verify`` on that combination;
 
@@ -27,6 +29,14 @@ import subprocess
 import sys
 
 SEEDS = (1, 2, 3)
+
+# non-default pipeline configs: the widest and a narrow pairing range, no
+# sibling tolerance and no cluster reach, a raised survivor threshold
+CONFIGS = {
+    "a": "pair_min_sep = 1\npair_max_sep = 200\nsibling_tolerance = 0\ncluster_distance = 0\n",
+    "b": "pair_min_sep = 10\npair_max_sep = 12\nsurvivor_threshold = 0.45\n"
+         "cluster_distance = 6\n",
+}
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -58,10 +68,22 @@ def outcome(argv, *paths):
         os.unlink(path)
     return digest(cli.main(argv), *map(read, paths))
 
+def candidates(result):
+    rows = {"candidates": len(result.candidates)}
+    for c in result.candidates:
+        rows[f"candidate {c.id}"] = digest(
+            c.rect, c.supports, c.bel_a, c.bel_b, c.bel_c, c.v_sibl, c.h_sibl,
+            c.non_window, c.conflict)
+    return rows
+
+configs = json.loads(sys.argv[2])
 out = {}
 with tempfile.TemporaryDirectory() as work:
     tsv, ppm, mass = (os.path.join(work, name) for name in ("out.tsv", "out.ppm", "out.mass"))
-    for seed in map(int, sys.argv[2:]):
+    for name, text in configs.items():
+        with open(os.path.join(work, name + ".cfg"), "w") as fh:
+            fh.write(text)
+    for seed in map(int, sys.argv[3:]):
         for workload in ("facades", "noise", "evidence"):
             os.makedirs(os.path.join(work, workload, str(seed)))
         for workload, make in (("facades", inputs.make_facades), ("noise", inputs.make_noise)):
@@ -71,14 +93,16 @@ with tempfile.TemporaryDirectory() as work:
                 row = {"read_pgm": array(image),
                        "micro.directions": array(result.micro.directions),
                        "short_edges": array(result.short_edges),
-                       "long_edges": array(result.long_edges),
-                       "candidates": len(result.candidates)}
-                for c in result.candidates:
-                    row[f"candidate {c.id}"] = digest(
-                        c.rect, c.supports, c.bel_a, c.bel_b, c.bel_c, c.v_sibl, c.h_sibl,
-                        c.non_window, c.conflict)
+                       "long_edges": array(result.long_edges), **candidates(result)}
                 row["report and overlay"] = outcome(
                     ["pipeline", inp.path, "--out", tsv, "--overlay", ppm], tsv, ppm)
+                for name, text in configs.items() if seed == 1 else ():
+                    tuned = pyramid.run_pipeline(image, pyramid.parse_config(text))
+                    row.update({f"config {name} {key}": value
+                                for key, value in candidates(tuned).items()})
+                    row[f"config {name} report and overlay"] = outcome(
+                        ["pipeline", inp.path, "--config", os.path.join(work, name + ".cfg"),
+                         "--out", tsv, "--overlay", ppm], tsv, ppm)
                 out[f"{workload} seed {seed} {os.path.basename(inp.path)}"] = row
         for k, inp in enumerate(inputs.make_evidence(seed, os.path.join(work, "evidence",
                                                                          str(seed)))):
@@ -96,7 +120,8 @@ def outputs(root: str) -> dict:
     # no bytecode is written next to perfbench/inputs.py
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"),
                PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE, PERFBENCH, *map(str, SEEDS)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, PERFBENCH, json.dumps(CONFIGS),
+                           *map(str, SEEDS)],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
