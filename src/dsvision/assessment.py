@@ -11,11 +11,12 @@ entry per candidate, and returns a number or an array to match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import InvalidParamsError, OutOfRangeError
 
 
 def _in_unit(values: np.ndarray) -> np.ndarray:
@@ -53,6 +54,18 @@ class BeliefTables:
     low_edgedness_belief: float = 0.4
     hv_d_bands: tuple[tuple[float, float], ...] = ((4.0, 0.4), (2.0, 0.2))
     boundary_bands: tuple[tuple[float, float], ...] = ((0.75, 0.6), (0.4, 0.3), (0.15, 0.1))
+
+    def __post_init__(self):
+        bands = [(f.name, band) for f in fields(self) if isinstance(f.default, tuple)
+                 for band in getattr(self, f.name)]
+        # thresholds may be infinite (always or never met), not NaN
+        bounds = [bound for _, (bound, _) in bands] + [self.low_edgedness]
+        if any(math.isnan(bound) for bound in bounds):
+            raise InvalidParamsError("belief table thresholds must not be NaN")
+        beliefs = [(key, bel) for key, (_, bel) in bands]
+        for key, value in beliefs + [("low_edgedness_belief", self.low_edgedness_belief)]:
+            if not 0.0 <= value <= 1.0:
+                raise InvalidParamsError(f"{key} value {value} outside [0, 1]")
 
 
 DEFAULT_TABLES = BeliefTables()

@@ -54,7 +54,9 @@ class Frame:
         for name in self.atoms:
             if not name:
                 raise EmptyNameError("atom names must be non-empty")
-            if name == THETA_TOKEN or any(op in name for op in "&|!"):
+            # "#" and whitespace would break the text formats' comments and
+            # fields, so such a name could not be read back
+            if name == THETA_TOKEN or any(c in "&|!#" or c.isspace() for c in name):
                 raise ParseError(f"atom {name!r} clashes with the clause syntax (THETA & | !)")
             if name in seen:
                 raise DuplicateAtomError(f"duplicate atom {name!r}")
@@ -108,16 +110,14 @@ class Clause:
                 raise ContradictionError("an empty disjunction denotes the empty set")
 
     @staticmethod
-    def conjunction(frame: Frame, literals: Iterable[Literal | str]) -> "Clause":
+    def conjunction(frame: Frame, literals: Iterable[str]) -> "Clause":
+        """The conjunction of atoms, each negated by a ``!`` prefix."""
         pos = neg = 0
         for lit in literals:
-            if isinstance(lit, str):
-                lit = Literal(lit[1:], False) if lit.startswith("!") else Literal(lit)
-            bit = 1 << frame.index(lit.atom)
-            if lit.positive:
-                pos |= bit
+            if lit.startswith("!"):
+                neg |= 1 << frame.index(lit[1:])
             else:
-                neg |= bit
+                pos |= 1 << frame.index(lit)
         return Clause(frame, CONJUNCTION, pos, neg)
 
     @staticmethod
@@ -147,13 +147,7 @@ class Clause:
             if any(p.startswith("!") for p in parts):
                 raise ParseError(f"negated atom in disjunction {text!r}")
             return Clause.disjunction(frame, parts)
-        literals = []
-        for part in (p.strip() for p in text.split("&")):
-            if part.startswith("!"):
-                literals.append(Literal(part[1:], positive=False))
-            else:
-                literals.append(Literal(part))
-        return Clause.conjunction(frame, literals)
+        return Clause.conjunction(frame, (p.strip() for p in text.split("&")))
 
     @property
     def is_theta(self) -> bool:
@@ -231,7 +225,6 @@ class MassFunction:
                 kind = "negative" if mass < 0 else "NaN"
                 raise NormalizationError(f"{kind} mass {mass} on {clause}")
             if mass > 0:
-                mass += cleaned.get(clause, 0.0)
                 # no focal may hold more than the total, so fsum cannot overflow
                 if mass > 1.0 + MASS_SUM_TOL:
                     raise NormalizationError(f"mass {mass} on {clause} exceeds 1")
@@ -355,12 +348,13 @@ def focal_fields(lineno: int, fields: list[str]) -> tuple[str, float]:
         raise ParseError(f"line {lineno}: bad mass {fields[2]!r}") from None
 
 
-def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
+def parse_mass_text(text: str) -> MassFunction:
     """Parse the mass-function text format.
 
-    A ``frame`` line declares the atoms (required unless a frame is passed
-    in); each ``focal <clause> <mass>`` line adds one focal element.
+    A ``frame`` line declares the atoms; each ``focal <clause> <mass>`` line
+    adds one focal element.
     """
+    frame = None
     focal_lines: list[tuple[int, str, float]] = []
     for lineno, line in text_lines(text):
         fields = line.split()
@@ -373,7 +367,7 @@ def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
         else:
             raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
     if frame is None:
-        raise ParseError("no frame declared and none supplied")
+        raise ParseError("no frame declared")
     focals: dict[Clause, float] = {}
     for lineno, clause_text, mass in focal_lines:
         clause = Clause.parse(frame, clause_text)
@@ -386,10 +380,8 @@ def parse_mass_text(text: str, frame: Frame | None = None) -> MassFunction:
         raise NormalizationError(f"mass text: {exc}") from None
 
 
-def format_mass_text(m: MassFunction, include_frame: bool = True) -> str:
-    lines = []
-    if include_frame:
-        lines.append("frame " + " ".join(m.frame.atoms))
+def format_mass_text(m: MassFunction) -> str:
+    lines = ["frame " + " ".join(m.frame.atoms)]
     for clause, mass in sorted_focals(m):
         lines.append(f"focal {clause} {mass:.12g}")
     return "\n".join(lines) + "\n"

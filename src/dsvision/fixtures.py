@@ -88,10 +88,12 @@ class FacadeFixture:
     decoy: tuple[int, int, int, int]
 
 
-def synthetic_facade(background: int = 200, paint: int = 32) -> FacadeFixture:
-    """A 128x128 facade: 3 rows x 4 columns of filled window rectangles,
-    plus one identically shaped decoy away from the building cluster."""
-    image = np.full((128, 128), background, dtype=np.float64)
+def synthetic_facade() -> FacadeFixture:
+    """A 128x128 facade: 3 rows x 4 columns of windows painted 32 on a wall
+    of 200, plus one identically shaped decoy away from the building
+    cluster."""
+    paint = 32
+    image = np.full((128, 128), 200, dtype=np.float64)
     height, width = 12, 16
     tops = (8, 24, 40)
     lefts = (8, 28, 48, 68)

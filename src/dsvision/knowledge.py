@@ -20,6 +20,7 @@ from .errors import (
 )
 from .evidence import (
     MASS_SUM_TOL,
+    THETA_TOKEN,
     Clause,
     Frame,
     MassFunction,
@@ -61,11 +62,11 @@ class KnowledgeSource:
     @staticmethod
     def build(name: str, frame: Frame, focals: dict[str, float]) -> "KnowledgeSource":
         """Build from clause-text keys; a THETA key supplies the residual."""
-        theta = focals.get("THETA", 0.0)
+        theta = focals.get(THETA_TOKEN, 0.0)
         parsed = tuple(
             (Clause.parse(frame, text), mass)
             for text, mass in focals.items()
-            if text != "THETA"
+            if text != THETA_TOKEN
         )
         return KnowledgeSource(name, frame, parsed, theta)
 
@@ -121,7 +122,7 @@ def parse_knowledge(text: str) -> KnowledgeSource:
             frame = make_frame(fields[1:])
         elif fields[0] == "focal":
             clause_text, mass = focal_fields(lineno, fields)
-            if clause_text == "THETA":
+            if clause_text == THETA_TOKEN:
                 theta_mass += mass
             else:
                 focal_lines.append((clause_text, mass))
@@ -131,10 +132,5 @@ def parse_knowledge(text: str) -> KnowledgeSource:
         raise ParseError("missing 'hypothesis' line")
     if frame is None:
         raise ParseError("missing 'frame' line")
-    focals = []
-    for clause_text, mass in focal_lines:
-        clause = Clause.parse(frame, clause_text)
-        if not clause.is_positive:
-            raise NegativeLiteralInKnowledgeError(f"negative literal in {clause_text!r}")
-        focals.append((clause, mass))
-    return KnowledgeSource(name, frame, tuple(focals), theta_mass)
+    focals = tuple((Clause.parse(frame, text), mass) for text, mass in focal_lines)
+    return KnowledgeSource(name, frame, focals, theta_mass)

@@ -13,7 +13,7 @@ All stages are pure functions of (image, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,11 +50,6 @@ _COLLINEAR_PAIRS = {
 for _d in (4, 5, 6, 7):
     _COLLINEAR_PAIRS[_d] = _COLLINEAR_PAIRS[_d - 4]
 
-_INT_KEYS = ("short_support", "long_support", "pair_min_sep", "pair_max_sep",
-             "sibling_tolerance", "cluster_distance")
-_FLOAT_KEYS = ("edge_threshold", "survivor_threshold", "sibling_support",
-               "non_window_support", "quality_weight")
-_BAND_KEYS = ("elongation_bands", "hv_d_bands", "boundary_bands")
 _UNIT_KEYS = ("sibling_support", "non_window_support", "quality_weight")
 
 
@@ -74,9 +69,9 @@ class PipelineConfig:
     tables: BeliefTables = field(default_factory=BeliefTables)
 
     def __post_init__(self):
-        for key in _FLOAT_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise InvalidParamsError(f"{key} = {getattr(self, key)} is not finite")
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise InvalidParamsError(f"{f.name} = {getattr(self, f.name)} is not finite")
         if min(self.short_support, self.long_support) < 1:
             raise InvalidParamsError("short_support and long_support must be at least 1")
         if min(self.sibling_tolerance, self.cluster_distance) < 0:
@@ -86,55 +81,46 @@ class PipelineConfig:
         if self.pair_min_sep > self.pair_max_sep:
             raise InvalidParamsError(
                 f"pair_min_sep {self.pair_min_sep} exceeds pair_max_sep {self.pair_max_sep}")
-        # table thresholds may be infinite (always or never met), not NaN
-        bounds = [bound for key in _BAND_KEYS for bound, _ in getattr(self.tables, key)]
-        if any(math.isnan(bound) for bound in bounds + [self.tables.low_edgedness]):
-            raise InvalidParamsError("belief table thresholds must not be NaN")
-        # supports, weights and table beliefs are masses
-        unit = [(key, getattr(self, key)) for key in _UNIT_KEYS]
-        unit += [(key, bel) for key in _BAND_KEYS for _, bel in getattr(self.tables, key)]
-        unit.append(("low_edgedness_belief", self.tables.low_edgedness_belief))
-        for key, value in unit:
-            if not 0.0 <= value <= 1.0:
-                raise InvalidParamsError(f"{key} value {value} outside [0, 1]")
+        # supports and weights are masses
+        for key in _UNIT_KEYS:
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise InvalidParamsError(f"{key} value {getattr(self, key)} outside [0, 1]")
+
+
+def _read_value(text: str, default):
+    """``text`` read as the type of ``default``: an int, a float, or bands
+    given as comma-separated ``threshold:value`` pairs."""
+    if isinstance(default, tuple):
+        return tuple((float(bound), float(bel))
+                     for bound, bel in (item.split(":") for item in text.split(",")))
+    return type(default)(text)
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse the ``key = value`` pipeline config format (# comments).
 
+    The keys are the fields of :class:`PipelineConfig` (but ``tables``) and
+    of :class:`BeliefTables`, each value read as the type of its default.
     Belief-table bands are comma-separated ``threshold:value`` pairs, e.g.
     ``boundary_bands = 0.75:0.6,0.4:0.3,0.15:0.1``.
     """
-    table_floats = {"low_edgedness", "low_edgedness_belief"}
-    cfg_kwargs: dict = {}
-    table_kwargs: dict = {}
+    defaults = {f.name: f.default for cls in (PipelineConfig, BeliefTables)
+                for f in fields(cls) if f.name != "tables"}
+    values: dict = {}
     for lineno, line in text_lines(text):
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in cfg_kwargs or key in table_kwargs:
+        if key in values:
             raise ParseError(f"line {lineno}: key {key!r} set twice")
+        if key not in defaults:
+            raise ParseError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                cfg_kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                cfg_kwargs[key] = float(value)
-            elif key in table_floats:
-                table_kwargs[key] = float(value)
-            elif key in _BAND_KEYS:
-                pairs = []
-                for item in value.split(","):
-                    bound, bel = item.split(":")
-                    pairs.append((float(bound), float(bel)))
-                table_kwargs[key] = tuple(pairs)
-            else:
-                raise ParseError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, ParseError) as exc:
-            if isinstance(exc, ParseError):
-                raise
+            values[key] = _read_value(value, defaults[key])
+        except ValueError:
             raise ParseError(f"line {lineno}: bad value {value!r} for {key}") from None
-    tables = BeliefTables(**table_kwargs) if table_kwargs else BeliefTables()
-    return PipelineConfig(tables=tables, **cfg_kwargs)
+    tables = {f.name: values.pop(f.name) for f in fields(BeliefTables) if f.name in values}
+    return PipelineConfig(tables=BeliefTables(**tables), **values)
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,18 @@ class TestAssessFeature:
         assert got.tolist() == [0.0, 0.25, 0.5]
 
 
+class TestBeliefTables:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"elongation_bands": ((math.nan, 0.5),)}, "belief table thresholds must not be NaN"),
+        ({"low_edgedness": math.nan}, "belief table thresholds must not be NaN"),
+        ({"boundary_bands": ((0.5, 1.5),)}, r"boundary_bands value 1\.5 outside \[0, 1\]"),
+    ], ids=["nan-band-threshold", "nan-low-edgedness", "belief-above-one"])
+    def test_invalid_table_rejected(self, kwargs, message):
+        # a table built outside a pipeline config must not silently read as 0
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            BeliefTables(**kwargs)
+
+
 class TestElongationBelief:
     @pytest.mark.parametrize("e,expected", [
         (1.0, 0.5), (2.0, 0.5), (3.0, 0.5),

@@ -1,6 +1,8 @@
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import vacuous
 from dsvision.errors import (
@@ -72,10 +74,12 @@ class TestMakeFrame:
         with pytest.raises(EmptyNameError):
             make_frame([])
 
-    @pytest.mark.parametrize("name", ["THETA", "a&b", "a|b", "!a"])
+    @pytest.mark.parametrize("name", ["THETA", "a&b", "a|b", "!a", "a#b", "c d", "a\tb"])
     def test_name_clashing_with_the_clause_syntax(self, name):
-        # such an atom would print as, or parse into, a different clause
-        with pytest.raises(ParseError, match=f"atom {name!r} clashes with the clause syntax"):
+        # such an atom would print as, or parse into, a different clause, or
+        # be cut by the text formats' comments and field splitting
+        with pytest.raises(ParseError,
+                           match=f"atom {re.escape(repr(name))} clashes with the clause syntax"):
             make_frame(["x", name])
 
 
@@ -322,6 +326,21 @@ class TestMassText:
         })
         parsed = parse_mass_text(format_mass_text(m))
         assert parsed == m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text("ab#!&| \t\n", min_size=1, max_size=3), min_size=1, max_size=4,
+                    unique=True), st.data())
+    def test_any_frame_roundtrips_or_is_rejected(self, names, data):
+        """An atom name the text format cannot carry is rejected when the
+        frame is made, never misread when the formatted text is parsed."""
+        try:
+            frame = make_frame(names)
+        except ParseError:
+            return
+        literals = [data.draw(st.sampled_from([atom, "!" + atom, ""])) for atom in frame.atoms]
+        focal = Clause.conjunction(frame, filter(None, literals))
+        m = simple_support(frame, focal, data.draw(st.sampled_from([0.25, 0.5, 1.0])))
+        assert parse_mass_text(format_mass_text(m)) == m
 
     def test_parse_example(self):
         text = """

@@ -202,6 +202,12 @@ class TestParseKnowledge:
         with pytest.raises(NegativeLiteralInKnowledgeError):
             parse_knowledge(text)
 
+    def test_negative_literal_named_in_frame_order(self):
+        # the knowledge source names the parsed clause, not the file's text
+        text = "hypothesis h\nframe a b\nfocal b&!a 0.5\nfocal THETA 0.5\n"
+        with pytest.raises(NegativeLiteralInKnowledgeError, match="^negative literal in !a&b$"):
+            parse_knowledge(text)
+
     @pytest.mark.parametrize("text, message", [
         ("hypothesis w\nframe a b\nframe c d\nfocal THETA 1\n", "line 3: frame declared twice"),
         ("hypothesis w\n# v\nhypothesis v\nframe a\nfocal THETA 1\n",

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
 from dsvision import pyramid, stages
+from dsvision.assessment import BeliefTables
 from dsvision.errors import (BadDimensionsError, DSVisionError, InvalidParamsError,
                              OutOfRangeError, ParseError, RectOutOfBoundsError)
 from dsvision.fixtures import synthetic_facade
@@ -940,6 +942,42 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ParseError):
             parse_config("frobnicate = 3")
+
+    def test_keys_are_the_fields(self):
+        text = """
+        edge_threshold = 40
+        short_support = 1
+        long_support = 3
+        pair_min_sep = 3
+        pair_max_sep = 40
+        survivor_threshold = 0.25
+        sibling_tolerance = 3
+        sibling_support = 0.7
+        non_window_support = 0.4
+        cluster_distance = 3
+        quality_weight = 0.9
+        elongation_bands = 3.5:0.5,6:0.3
+        low_edgedness = 0.15
+        low_edgedness_belief = 0.35
+        hv_d_bands = 3:0.4,1.5:0.2
+        boundary_bands = 0.7:0.6,0.35:0.3,0.1:0.1
+        """
+        tables = BeliefTables(((3.5, 0.5), (6.0, 0.3)), 0.15, 0.35, ((3.0, 0.4), (1.5, 0.2)),
+                              ((0.7, 0.6), (0.35, 0.3), (0.1, 0.1)))
+        expected = PipelineConfig(40.0, 1, 3, 3, 40, 0.25, 3, 0.7, 0.4, 3, 0.9, tables)
+        keys = {line.split("=")[0].strip() for line in text.splitlines() if line.strip()}
+        assert keys == ({f.name for f in fields(PipelineConfig)} - {"tables"}
+                        | {f.name for f in fields(BeliefTables)})
+        assert parse_config(text) == expected
+        for f in fields(PipelineConfig):
+            assert getattr(expected, f.name) != getattr(PipelineConfig(), f.name)
+        for f in fields(BeliefTables):
+            assert getattr(tables, f.name) != getattr(BeliefTables(), f.name)
+        # each value is read as its field's type, and no other name is a key
+        with pytest.raises(ParseError, match="^line 1: bad value '2.5' for short_support$"):
+            parse_config("short_support = 2.5")
+        with pytest.raises(ParseError, match="^line 1: unknown key 'tables'$"):
+            parse_config("tables = 1")
 
     def test_workers_rejected(self):
         # the pipeline is one sequential path; a worker count is not a setting

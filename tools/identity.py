@@ -31,11 +31,19 @@ import sys
 SEEDS = (1, 2, 3)
 
 # non-default pipeline configs: the widest and a narrow pairing range, no
-# sibling tolerance and no cluster reach, a raised survivor threshold
+# sibling tolerance and no cluster reach, a raised survivor threshold; "c"
+# sets every key, so that each value type and belief table is read, and
+# still leaves candidates on every seed-1 facade
 CONFIGS = {
     "a": "pair_min_sep = 1\npair_max_sep = 200\nsibling_tolerance = 0\ncluster_distance = 0\n",
     "b": "pair_min_sep = 10\npair_max_sep = 12\nsurvivor_threshold = 0.45\n"
          "cluster_distance = 6\n",
+    "c": "edge_threshold = 40\nshort_support = 1\nlong_support = 1\npair_min_sep = 3\n"
+         "pair_max_sep = 40\nsurvivor_threshold = 0.25\nsibling_tolerance = 3\n"
+         "sibling_support = 0.7\nnon_window_support = 0.4\ncluster_distance = 3\n"
+         "quality_weight = 0.9\nelongation_bands = 3.5:0.5,6:0.3\nlow_edgedness = 0.15\n"
+         "low_edgedness_belief = 0.35\nhv_d_bands = 3:0.4,1.5:0.2\n"
+         "boundary_bands = 0.7:0.6,0.35:0.3,0.1:0.1\n",
 }
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
