@@ -12,6 +12,7 @@ entry per candidate, and returns a number or an array to match.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,6 +41,16 @@ def assess_feature(goodness, quality_weight=1.0):
     return (goodness * quality_weight)[()]
 
 
+def check_number(name: str, value, default) -> None:
+    """Reject a value unlike its field's default: an int default takes an
+    integer, a float default any real number, and neither takes a bool."""
+    integral = isinstance(default, int)
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integral else "a number"
+        raise InvalidParamsError(f"{name} value {value!r} is not {noun}")
+
+
 @dataclass(frozen=True)
 class BeliefTables:
     """Piecewise-constant feature belief tables.
@@ -56,13 +67,25 @@ class BeliefTables:
     boundary_bands: tuple[tuple[float, float], ...] = ((0.75, 0.6), (0.4, 0.3), (0.15, 0.1))
 
     def __post_init__(self):
-        bands = [(f.name, band) for f in fields(self) if isinstance(f.default, tuple)
-                 for band in getattr(self, f.name)]
+        bands = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(f.default, tuple):
+                check_number(f.name, value, f.default)
+                continue
+            if not (isinstance(value, tuple)
+                    and all(isinstance(band, tuple) and len(band) == 2 for band in value)):
+                raise InvalidParamsError(
+                    f"{f.name} value {value!r} is not a tuple of (threshold, value) pairs")
+            bands += [(f.name, bound, bel) for bound, bel in value]
+        for key, bound, bel in bands:
+            check_number(key, bound, 0.0)
+            check_number(key, bel, 0.0)
         # thresholds may be infinite (always or never met), not NaN
-        bounds = [bound for _, (bound, _) in bands] + [self.low_edgedness]
+        bounds = [bound for _, bound, _ in bands] + [self.low_edgedness]
         if any(math.isnan(bound) for bound in bounds):
             raise InvalidParamsError("belief table thresholds must not be NaN")
-        beliefs = [(key, bel) for key, (_, bel) in bands]
+        beliefs = [(key, bel) for key, _, bel in bands]
         for key, value in beliefs + [("low_edgedness_belief", self.low_edgedness_belief)]:
             if not 0.0 <= value <= 1.0:
                 raise InvalidParamsError(f"{key} value {value} outside [0, 1]")

@@ -312,9 +312,12 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombineOutcome:
 
 
 def combine_all(ms: list[MassFunction]) -> CombineOutcome:
-    """Left fold of ``combine``; result is order-independent.
+    """Left fold of ``combine``.
 
-    The aggregate conflict is 1 - prod(1 - K_step) over the fold steps.
+    Dempster's rule is commutative and associative, so the result does not
+    depend on the order of ``ms`` in exact arithmetic; in floats a different
+    order can change the masses and the conflict in their last bits.  The
+    aggregate conflict is 1 - prod(1 - K_step) over the fold steps.
     """
     if not ms:
         raise ValueError("combine_all needs at least one mass function")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .assessment import BeliefTables, feature_supports
+from .assessment import BeliefTables, check_number, feature_supports
 from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
                      RectOutOfBoundsError)
 from .evidence import text_lines
@@ -70,8 +70,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise InvalidParamsError(f"{f.name} = {getattr(self, f.name)} is not finite")
+            value = getattr(self, f.name)
+            if isinstance(f.default, (int, float)):
+                check_number(f.name, value, f.default)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise InvalidParamsError(f"{f.name} = {value} is not finite")
+        if not isinstance(self.tables, BeliefTables):
+            raise InvalidParamsError(f"tables value {self.tables!r} is not a BeliefTables")
         if min(self.short_support, self.long_support) < 1:
             raise InvalidParamsError("short_support and long_support must be at least 1")
         if min(self.sibling_tolerance, self.cluster_distance) < 0:

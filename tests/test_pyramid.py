@@ -1025,6 +1025,68 @@ class TestParseConfig:
             parse_config(text)
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: PipelineConfig(short_support=2.5), "short_support"),
+    (lambda: PipelineConfig(short_support=True), "short_support"),
+    (lambda: PipelineConfig(quality_weight=True), "quality_weight"),
+    (lambda: BeliefTables(elongation_bands=((1.0,),)), "elongation_bands"),
+    (lambda: BeliefTables(elongation_bands=(("x", 0.5),)), "elongation_bands"),
+    (lambda: BeliefTables(low_edgedness="0.1"), "low_edgedness"),
+    (lambda: PipelineConfig(tables={"low_edgedness": 0.2}), "tables"),
+], ids=["int-field-fraction", "int-field-bool", "float-field-bool", "band-not-a-pair",
+        "band-not-numbers", "float-field-text", "tables-not-tables"])
+def test_value_unlike_its_default_rejected(build, key):
+    # a config built in Python, not parsed, is held to its fields' kinds:
+    # short_support = 2.5 used to leave 0 candidates on the bundled facade
+    with pytest.raises(InvalidParamsError, match=f"^{key} value "):
+        build()
+
+
+def config_text(kwargs) -> str:
+    """The config file that sets each keyword, bands as threshold:value."""
+    return "".join(f"{key} = " + (",".join(f"{b!r}:{v!r}" for b, v in value)
+                                  if isinstance(value, tuple) else repr(value)) + "\n"
+                   for key, value in kwargs.items())
+
+
+_DEFAULTS = {f.name: f.default for cls in (PipelineConfig, BeliefTables) for f in fields(cls)
+             if f.name != "tables"}
+_UNLIKE = st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
+                    st.sampled_from([2.5, ((1.0,),), (("x", 0.5),), ((0.5, True),)]))
+
+
+def like_or_unlike(default):
+    """A value of the default's kind, often in range, or one of another."""
+    if isinstance(default, tuple):
+        like = st.lists(st.tuples(st.floats(0.0, 8.0) | st.integers(0, 8), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=3).map(tuple)
+    elif isinstance(default, int):
+        like = st.integers(0, 60)
+    else:
+        like = st.floats(0.0, 1.0) | st.integers(0, 1)
+    return like | _UNLIKE
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_DEFAULTS)), unique=True, max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries({key: like_or_unlike(_DEFAULTS[key]) for key in keys})))
+def test_python_config_is_its_parsed_text(kwargs):
+    """A config built in Python raises InvalidParamsError, or equals the
+    config parsed from its text and gives the same report."""
+    table_keys = {f.name for f in fields(BeliefTables)}
+    try:
+        config = PipelineConfig(
+            tables=BeliefTables(**{k: v for k, v in kwargs.items() if k in table_keys}),
+            **{k: v for k, v in kwargs.items() if k not in table_keys})
+    except InvalidParamsError:
+        return
+    parsed = parse_config(config_text(kwargs))
+    assert parsed == config
+    image = synthetic_facade().image
+    assert (format_report(report_from_result(run_pipeline(image, parsed)))
+            == format_report(report_from_result(run_pipeline(image, config))))
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 pixel = st.one_of(st.floats(0.0, 255.0), st.integers(0, 255).map(float), finite)
 

@@ -1,10 +1,11 @@
-"""The batched staged beliefs and candidate measurements against scalar
-references.
+"""The batched, memoised staged beliefs and the batched candidate
+measurements against scalar references.
 
 The references are the per-candidate clause-algebra chain (``combine_all``
-then ``verify``) and the per-rect measurement loops that the pipeline used
-before both were batched.  The batched results must equal them bit for bit,
-and the beliefs must agree with the brute-force world-set ``oracle``.
+then ``verify``), called once per row with no memo, and the per-rect
+measurement loops that the pipeline used before it was batched.  The
+batched results must equal them bit for bit, and the beliefs must agree
+with the brute-force world-set ``oracle``.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FACADE_REPORT_SHA256, random_knowledge
-from dsvision import evidence, knowledge, pyramid, stages
+from dsvision import evidence, pyramid, stages
 from dsvision.assessment import DEFAULT_TABLES, feature_supports
 from dsvision.errors import NormalizationError, TotalConflictError, UnknownAtomError
 from dsvision.evidence import Clause, combine_all, make_frame, simple_support
@@ -143,10 +144,14 @@ def check_stages(rows_a, rows_c, window_ks, sibling_ks):
         assert stage_c_belief(*row, sibling_ks) == c
 
 
-def cold_beliefs(ks, factors, table):
-    """Each row of a support table verified on its own, no memo read."""
-    return np.array([stages._verify(ks, factors(ks, table[i:i + 1]))[0]
-                     for i in range(len(table))])
+def cold_beliefs(ref, ks, table):
+    """Each row of a support table through its scalar reference, no memo
+    read."""
+    return np.array([ref(*row, ks) for row in table.tolist()], dtype=np.float64)
+
+
+def ref_stage_c_belief(window, non_window, v_sibl, h_sibl, ks):
+    return ref_stage_c(window, non_window, v_sibl, h_sibl, ks)[0]
 
 
 # supports with both zeros, and the ends of the interval
@@ -208,7 +213,7 @@ class TestBatchedStages:
            st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     def test_memo_equals_cold_verify(self, pool, calls, seed):
         """Calls in any order, on rows drawn from a small pool so that they
-        repeat, give each row the bits of its own cold ``_verify``."""
+        repeat, give each row the bits of its own scalar reference."""
         if seed is None:
             window_ks, sibling_ks = window_knowledge(), sibling_knowledge()
         else:
@@ -221,14 +226,14 @@ class TestBatchedStages:
             table = np.array([pool[i % len(pool)] for i in picks]).reshape(-1, 4)
             if stage == "a":
                 got = stage_a_belief(*table.T, window_ks=window_ks)
-                want = cold_beliefs(window_ks, stages._feature_factors, table)
+                want = cold_beliefs(ref_stage_a, window_ks, table)
             elif stage == "b":
                 got = stage_b_belief(*table[:, :3].T, sibling_ks)
-                want = cold_beliefs(sibling_ks, stages._sibling_factors, table[:, :3])
+                want = cold_beliefs(ref_stage_b, sibling_ks, table[:, :3])
             else:
                 table = table[table[:, 0] * table[:, 1] < 1.0 - evidence.TOTAL_CONFLICT_TOL]
                 got = stage_c_belief(*table.T, sibling_ks)
-                want = cold_beliefs(sibling_ks, stages._conflict_factors, table)
+                want = cold_beliefs(ref_stage_c_belief, sibling_ks, table)
             assert got.tobytes() == want.tobytes()
 
     def test_memo_stays_bounded(self):
@@ -238,8 +243,8 @@ class TestBatchedStages:
             table = rng.random((size, 4))
             table[::3] = table[0]   # repeated rows within a call
             got = stage_a_belief(*table.T, window_ks=ks)
-            assert len(stages._memo(ks, stages._feature_factors)) <= stages._MEMO_ROWS
-            want = stages._verify(ks, stages._feature_factors(ks, table))
+            assert len(stages._stage(ks, FEATURE_ATOMS)[1]) <= stages._MEMO_ROWS
+            want = cold_beliefs(ref_stage_a, ks, table)
             assert got.tobytes() == want.tobytes()
 
     def test_default_knowledge_built_once(self):
@@ -324,16 +329,24 @@ class TestPipelineBeliefs:
             assert (c.bel_c, c.conflict) == ref_stage_c(c.bel_a, c.non_window, c.v_sibl,
                                                         c.h_sibl, sibling_ks)
 
-    def test_no_clause_algebra_on_the_pipeline_path(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("clause algebra called on the pipeline path")
+    def test_combine_all_once_per_distinct_row(self, monkeypatch):
+        """With the memos cleared, the bundled facade runs the clause chain
+        once for each distinct row of each stage (2, 3 and 3 rows), and a
+        second run not at all."""
+        calls = []
 
-        for module in (evidence, knowledge, stages, pyramid):
-            for name in ("combine", "combine_all", "verify"):
-                monkeypatch.setattr(module, name, forbidden, raising=False)
-        result = run_pipeline(synthetic_facade().image)
-        report = format_report(report_from_result(result)).encode()
-        assert hashlib.sha256(report).hexdigest() == FACADE_REPORT_SHA256
+        def counted(ms):
+            calls.append(len(ms))
+            return combine_all(ms)
+
+        monkeypatch.setattr(stages, "combine_all", counted)
+        stages._stage.cache_clear()
+        image = synthetic_facade().image
+        for want in ([4] * 2 + [3] * 3 + [4] * 3, []):
+            calls.clear()
+            report = format_report(report_from_result(run_pipeline(image))).encode()
+            assert hashlib.sha256(report).hexdigest() == FACADE_REPORT_SHA256
+            assert calls == want
 
 
 def random_edge_field(rng, side):

@@ -4,10 +4,13 @@ and the first op, each sample in a fresh process.
 usage: python tools/bench_cold.py NAME=REPO_ROOT [NAME=REPO_ROOT ...]
 
 Every sample runs this repository's ``perfbench/cold.py`` on a named
-checkout's ``src/``, for two commands: ``evidence`` (``combine`` of the
+checkout's ``src/``, for three commands: ``evidence`` (``combine`` of the
 mass files of seed-1 ``evidence`` input 0, then ``verify`` of the result
-against its knowledge file, as the benchmark's op) and ``pipeline`` (seed-1
-``facades`` input 0, the bundled facade, with ``--out`` and ``--overlay``).
+against its knowledge file, as the benchmark's op), ``pipeline`` (seed-1
+``facades`` input 0, the bundled facade, with ``--out`` and ``--overlay``)
+and ``pipeline-rows`` (the same on seed-1 ``facades`` input 17, the input
+with the most distinct stage rows, 38 / 31 / 31, so that the first op
+verifies each of those rows with an empty stage memo).
 The inputs are written once with ``perfbench/inputs.py`` and this
 checkout's ``src/``.  One untimed
 process per checkout and command writes its bytecode first; then, ``ROUNDS``
@@ -43,13 +46,17 @@ def commands(work: str) -> dict[str, list[list[str]]]:
     for workload in ("evidence", "facades"):
         os.makedirs(os.path.join(work, workload))
     ev = inputs.make_evidence(1, os.path.join(work, "evidence"))[0]
-    image = inputs.make_facades(1, os.path.join(work, "facades"))[0]
+    images = inputs.make_facades(1, os.path.join(work, "facades"))
     combined, verified = (os.path.join(work, name) for name in ("ab.mass", "bel.txt"))
+
+    def pipeline(image):
+        return [["pipeline", image.path, "--out", os.path.join(work, "report.tsv"),
+                 "--overlay", os.path.join(work, "overlay.ppm")]]
+
     return {"evidence": [["combine", *ev.mass_paths, "--out", combined],
                          ["verify", "--evidence", combined, "--knowledge", ev.knowledge_path,
                           "--out", verified]],
-            "pipeline": [["pipeline", image.path, "--out", os.path.join(work, "report.tsv"),
-                          "--overlay", os.path.join(work, "overlay.ppm")]]}
+            "pipeline": pipeline(images[0]), "pipeline-rows": pipeline(images[17])}
 
 
 def sample(root: str, argv: list[list[str]], work: str) -> dict:
