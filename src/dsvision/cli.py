@@ -25,7 +25,7 @@ from .knowledge import parse_knowledge, verify
 _LAZY = {name: module for module, names in (
     ("fixtures", "WINDOW_TABLE shutter_evidence shutter_knowledge"),
     ("netpbm", "read_pgm"),
-    ("pyramid", "PipelineConfig parse_config run_pipeline"),
+    ("pyramid", "DEFAULT_CONFIG parse_config run_pipeline"),
     ("report", "ReportRow format_report report_from_result write_overlay"),
     ("stages", "stage_a_belief stage_b_belief stage_c_belief"),
 ) for name in names.split()}
@@ -59,6 +59,11 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit_verification(result, out: str | None) -> None:
+    _emit(f"Bel({result.hypothesis}) = {result.bel:.3f}\n"
+          f"Bel(THETA) = {result.theta:.3f}\n", out)
+
+
 def cmd_combine(args) -> int:
     masses = [parse_mass_text(_read(path)) for path in args.mass_files]
     outcome = combine_all(masses)
@@ -70,15 +75,13 @@ def cmd_combine(args) -> int:
 def cmd_verify(args) -> int:
     evidence = parse_mass_text(_read(args.evidence))
     ks = parse_knowledge(_read(args.knowledge))
-    result = verify(evidence, ks)
-    _emit(f"Bel({result.hypothesis}) = {result.bel:.3f}\n"
-          f"Bel(THETA) = {result.theta:.3f}\n", args.out)
+    _emit_verification(verify(evidence, ks), args.out)
     return 0
 
 
 def cmd_pipeline(args) -> int:
     image = _cli.read_pgm(args.image)
-    config = _cli.parse_config(_read(args.config)) if args.config else _cli.PipelineConfig()
+    config = _cli.parse_config(_read(args.config)) if args.config else _cli.DEFAULT_CONFIG
     if args.threshold is not None:
         config = dataclasses.replace(config, survivor_threshold=args.threshold)
     paths = args.knowledge or []
@@ -111,10 +114,7 @@ def cmd_areas(args) -> int:
 
 
 def cmd_shutter(args) -> int:
-    evidence = _cli.shutter_evidence()
-    result = verify(evidence, _cli.shutter_knowledge())
-    _emit(f"Bel(shutter) = {result.bel:.3f}\n"
-          f"Bel(THETA) = {result.theta:.3f}\n", args.out)
+    _emit_verification(verify(_cli.shutter_evidence(), _cli.shutter_knowledge()), args.out)
     return 0
 
 
@@ -165,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DSVisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DSVisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

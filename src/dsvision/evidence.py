@@ -341,34 +341,47 @@ def text_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def focal_fields(lineno: int, fields: list[str]) -> tuple[str, float]:
-    """The clause text and mass of a ``focal <clause> <mass>`` line."""
-    if len(fields) != 3:
-        raise ParseError(f"line {lineno}: expected 'focal <clause> <mass>'")
-    try:
-        return fields[1], float(fields[2])
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad mass {fields[2]!r}") from None
+def read_focals(text: str, names: tuple[str, ...] = ()
+                ) -> tuple[Frame | None, list[str | None], list[tuple[int, str, float]]]:
+    """Read the directive lines shared by the mass and knowledge formats:
+    one ``frame <atom> ...`` line, one ``<name> <value>`` line for each of
+    ``names`` and any number of ``focal <clause> <mass>`` lines.  Returns
+    the frame and each name's value, None where the line is missing, and
+    the focal lines as (line number, clause text, mass), in file order."""
+    frame = None
+    values = dict.fromkeys(names)
+    focals = []
+    for lineno, line in text_lines(text):
+        directive, *args = line.split()
+        if directive == "focal":
+            if len(args) != 2:
+                raise ParseError(f"line {lineno}: expected 'focal <clause> <mass>'")
+            try:
+                focals.append((lineno, args[0], float(args[1])))
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad mass {args[1]!r}") from None
+        elif directive == "frame":
+            if frame is not None:
+                raise ParseError(f"line {lineno}: frame declared twice")
+            frame = make_frame(args)
+        elif directive in values:
+            if len(args) != 1:
+                raise ParseError(f"line {lineno}: expected '{directive} <name>'")
+            if values[directive] is not None:
+                raise ParseError(f"line {lineno}: {directive} declared twice")
+            values[directive] = args[0]
+        else:
+            raise ParseError(f"line {lineno}: unknown directive {directive!r}")
+    return frame, list(values.values()), focals
 
 
 def parse_mass_text(text: str) -> MassFunction:
     """Parse the mass-function text format.
 
     A ``frame`` line declares the atoms; each ``focal <clause> <mass>`` line
-    adds one focal element.
+    adds its mass to one focal element.
     """
-    frame = None
-    focal_lines: list[tuple[int, str, float]] = []
-    for lineno, line in text_lines(text):
-        fields = line.split()
-        if fields[0] == "frame":
-            if frame is not None:
-                raise ParseError(f"line {lineno}: frame declared twice")
-            frame = make_frame(fields[1:])
-        elif fields[0] == "focal":
-            focal_lines.append((lineno, *focal_fields(lineno, fields)))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
+    frame, _, focal_lines = read_focals(text)
     if frame is None:
         raise ParseError("no frame declared")
     focals: dict[Clause, float] = {}

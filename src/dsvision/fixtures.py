@@ -24,13 +24,13 @@ SHUTTER_SUPPORTS = (("long", 0.6), ("low", 0.7), ("next-to", 0.5))
 
 
 def shutter_knowledge() -> KnowledgeSource:
-    return KnowledgeSource.build("shutter", SHUTTER_FRAME, {
-        "long": 0.25,
-        "low": 0.15,
-        "long&low": 0.15,
-        "next-to": 0.25,
-        "THETA": 0.2,
-    })
+    return KnowledgeSource.build("shutter", SHUTTER_FRAME, (
+        ("long", 0.25),
+        ("low", 0.15),
+        ("long&low", 0.15),
+        ("next-to", 0.25),
+        ("THETA", 0.2),
+    ))
 
 
 def shutter_evidence() -> MassFunction:

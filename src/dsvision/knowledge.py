@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (
     FrameMismatchError,
@@ -25,9 +26,7 @@ from .evidence import (
     Frame,
     MassFunction,
     clause_subset,
-    focal_fields,
-    make_frame,
-    text_lines,
+    read_focals,
 )
 
 
@@ -60,15 +59,17 @@ class KnowledgeSource:
             raise NormalizationError(f"knowledge masses sum to {total}, expected 1")
 
     @staticmethod
-    def build(name: str, frame: Frame, focals: dict[str, float]) -> "KnowledgeSource":
-        """Build from clause-text keys; a THETA key supplies the residual."""
-        theta = focals.get(THETA_TOKEN, 0.0)
-        parsed = tuple(
-            (Clause.parse(frame, text), mass)
-            for text, mass in focals.items()
-            if text != THETA_TOKEN
-        )
-        return KnowledgeSource(name, frame, parsed, theta)
+    def build(name: str, frame: Frame, focals: Iterable[tuple[str, float]]) -> "KnowledgeSource":
+        """Build from (clause text, mass) pairs, each its own focal; the
+        masses of THETA pairs are summed, in order, into the residual."""
+        theta = 0.0
+        parsed = []
+        for text, mass in focals:
+            if text == THETA_TOKEN:
+                theta += mass
+            else:
+                parsed.append((Clause.parse(frame, text), mass))
+        return KnowledgeSource(name, frame, tuple(parsed), theta)
 
 
 @dataclass(frozen=True)
@@ -104,33 +105,9 @@ def parse_knowledge(text: str) -> KnowledgeSource:
     Directives: ``hypothesis <name>``, ``frame <atom> ...`` and
     ``focal <clause> <mass>`` (``THETA`` for the residual); ``#`` comments.
     """
-    name = None
-    frame = None
-    theta_mass = 0.0
-    focal_lines: list[tuple[str, float]] = []
-    for lineno, line in text_lines(text):
-        fields = line.split()
-        if fields[0] == "hypothesis":
-            if len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected 'hypothesis <name>'")
-            if name is not None:
-                raise ParseError(f"line {lineno}: hypothesis declared twice")
-            name = fields[1]
-        elif fields[0] == "frame":
-            if frame is not None:
-                raise ParseError(f"line {lineno}: frame declared twice")
-            frame = make_frame(fields[1:])
-        elif fields[0] == "focal":
-            clause_text, mass = focal_fields(lineno, fields)
-            if clause_text == THETA_TOKEN:
-                theta_mass += mass
-            else:
-                focal_lines.append((clause_text, mass))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
+    frame, (name,), focal_lines = read_focals(text, ("hypothesis",))
     if name is None:
         raise ParseError("missing 'hypothesis' line")
     if frame is None:
         raise ParseError("missing 'frame' line")
-    focals = tuple((Clause.parse(frame, text), mass) for text, mass in focal_lines)
-    return KnowledgeSource(name, frame, focals, theta_mass)
+    return KnowledgeSource.build(name, frame, [(clause, mass) for _, clause, mass in focal_lines])

@@ -92,6 +92,10 @@ class PipelineConfig:
                 raise InvalidParamsError(f"{key} value {getattr(self, key)} outside [0, 1]")
 
 
+# a config is frozen, so every caller that sets nothing shares this one
+DEFAULT_CONFIG = PipelineConfig()
+
+
 def _read_value(text: str, default):
     """``text`` read as the type of ``default``: an int, a float, or bands
     given as comma-separated ``threshold:value`` pairs."""
@@ -187,7 +191,7 @@ class EdgeField:
         return int(np.count_nonzero(self.directions != NO_EDGE))
 
 
-def extract_micro_edges(p: Pyramid, config: PipelineConfig = PipelineConfig()) -> EdgeField:
+def extract_micro_edges(p: Pyramid, config: PipelineConfig = DEFAULT_CONFIG) -> EdgeField:
     """Per-cell gradient edges at the base level.
 
     Emits an edge where |gx| + |gy| reaches the threshold; the direction is
@@ -225,7 +229,7 @@ def _edge_rows(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def aggregate_short_edges(p: Pyramid, micro: EdgeField,
-                          config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+                          config: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Short edges one level above the base: a cell holds a direction when
     enough of its four children agree on it.  One (row, col, direction,
     count) row per short edge."""
@@ -239,7 +243,7 @@ def aggregate_short_edges(p: Pyramid, micro: EdgeField,
 
 
 def aggregate_long_edges(p: Pyramid, short: np.ndarray,
-                         config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+                         config: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Long edges two levels above the base: a cell holds a direction when
     enough of its four short-edge children carry it and two of those are
     collinear along the edge orientation; a count threshold alone is not
@@ -344,7 +348,7 @@ def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
 
 
 def find_window_candidates(long_edges: np.ndarray,
-                           config: PipelineConfig = PipelineConfig()) -> list[CandidateArea]:
+                           config: PipelineConfig = DEFAULT_CONFIG) -> list[CandidateArea]:
     """Rectangles spanned by opposite-polarity horizontal long-edge pairs.
 
     Pairs must overlap horizontally by at least one level-5 cell and be
@@ -436,7 +440,7 @@ def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.nd
 
 def stage_a_beliefs(rects: np.ndarray, p: Pyramid, micro: EdgeField,
                     window_ks: KnowledgeSource,
-                    config: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, np.ndarray]:
+                    config: PipelineConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Measure each candidate and verify the feature evidence: the (4, N)
     feature supports and the stage A beliefs."""
     supports = np.array(feature_supports(*measure_candidates(p, rects, micro), config.tables,
@@ -445,7 +449,7 @@ def stage_a_beliefs(rects: np.ndarray, p: Pyramid, micro: EdgeField,
 
 
 def sibling_search(rects: np.ndarray, bel_a: np.ndarray,
-                   config: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, np.ndarray]:
+                   config: PipelineConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Lateral search among surviving candidates for aligned neighbors:
     the v_sibl and h_sibl support of each.
 
@@ -507,7 +511,7 @@ def _clusters(grid: np.ndarray, reach: int) -> np.ndarray:
 
 
 def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
-                      config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+                      config: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The non-window support of each candidate: set outside the building
     region.
 
@@ -539,7 +543,7 @@ def stage_c_beliefs(bel_a, non_window, v_sibl, h_sibl,
                     sibling_ks: KnowledgeSource) -> tuple[np.ndarray, np.ndarray]:
     """The stage C beliefs and their combination conflict K."""
     return (stage_c_belief(bel_a, non_window, v_sibl, h_sibl, sibling_ks),
-            stage_c_conflict(bel_a, non_window))
+            stage_c_conflict(bel_a, non_window, v_sibl, h_sibl, sibling_ks))
 
 
 @dataclass(frozen=True)
@@ -552,7 +556,7 @@ class PipelineResult:
 
 
 def run_pipeline(image: np.ndarray,
-                 config: PipelineConfig = PipelineConfig(),
+                 config: PipelineConfig = DEFAULT_CONFIG,
                  window_ks: KnowledgeSource | None = None,
                  sibling_ks: KnowledgeSource | None = None) -> PipelineResult:
     """The full level-synchronous chain, from pixels to staged beliefs.

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dsvision
 from conftest import write_p5
-from dsvision import cli
+from dsvision import cli, pyramid
 from dsvision.cli import build_parser, main
 from dsvision.fixtures import synthetic_facade
 
@@ -113,6 +113,15 @@ class TestCombine:
         assert captured.out == ""
         assert captured.err == ("error: atom 'THETA' clashes with the clause syntax "
                                 "(THETA & | !)\n")
+
+    def test_hypothesis_line_in_a_mass_file(self, tmp_path, capsys):
+        # only a knowledge file names a hypothesis
+        path = tmp_path / "h.mass"
+        path.write_text("frame a\nhypothesis h\nfocal THETA 1\n")
+        assert main(["combine", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: unknown directive 'hypothesis'\n"
 
     def test_nan_mass(self, tmp_path, capsys):
         path = tmp_path / "nan.mass"
@@ -310,6 +319,16 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_pipeline_without_config_builds_none(self, facade_pgm, tmp_path, monkeypatch):
+        # the shared default serves every run that sets nothing
+        built = []
+        check = pyramid.PipelineConfig.__post_init__
+        monkeypatch.setattr(pyramid.PipelineConfig, "__post_init__",
+                            lambda config: built.append(config) or check(config))
+        for _ in range(2):
+            assert main(["pipeline", facade_pgm, "--out", str(tmp_path / "r.tsv")]) == 0
+        assert built == []
 
     def test_missing_image(self, tmp_path, capsys):
         assert main(["pipeline", str(tmp_path / "none.pgm")]) == 2

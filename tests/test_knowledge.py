@@ -32,11 +32,11 @@ def to_simple_support(v, target, frame):
 
 
 def chimney_knowledge():
-    return KnowledgeSource.build("chimney", SHUTTER_FRAME, {
-        "long": 0.25,
-        "next-to": 0.35,
-        "THETA": 0.4,
-    })
+    return KnowledgeSource.build("chimney", SHUTTER_FRAME, (
+        ("long", 0.25),
+        ("next-to", 0.35),
+        ("THETA", 0.4),
+    ))
 
 
 SHUTTER_TEXT = """
@@ -216,3 +216,23 @@ class TestParseKnowledge:
     def test_directive_declared_twice(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_knowledge(text)
+
+    def test_duplicate_focals_stay_separate_terms(self):
+        """``a&b`` and ``b&a`` are the same focal, read as two terms as
+        written, and the THETA lines are added in file order: verification
+        gives the bits of the source built by hand, not of one that merges
+        the two lines."""
+        text = ("hypothesis h\nframe a b c\nfocal a&b 0.1\nfocal c 0.3\nfocal b&a 0.3\n"
+                "focal THETA 0.1\nfocal THETA 0.2\n")
+        frame = make_frame("abc")
+        ab, c = Clause.parse(frame, "a&b"), Clause.parse(frame, "c")
+        by_hand = KnowledgeSource("h", frame, ((ab, 0.1), (c, 0.3), (ab, 0.3)), 0.1 + 0.2)
+        merged = KnowledgeSource("h", frame, ((ab, 0.1 + 0.3), (c, 0.3)), 0.1 + 0.2)
+        ks = parse_knowledge(text)
+        assert ks == by_hand
+        differs = 0
+        for seed in range(50):
+            m_e = random_mass(random.Random(seed), frame, allow_negative=False)
+            assert verify(m_e, ks).bel.hex() == verify(m_e, by_hand).bel.hex()
+            differs += verify(m_e, ks).bel != verify(m_e, merged).bel
+        assert differs > 0

@@ -133,7 +133,7 @@ def check_stages(rows_a, rows_c, window_ks, sibling_ks):
     a, nw, v, h = np.array(rows_c, dtype=np.float64).reshape(-1, 4).T
     bel_b = stage_b_belief(a, v, h, sibling_ks).tolist()
     bel_c = stage_c_belief(a, nw, v, h, sibling_ks).tolist()
-    conflict = stage_c_conflict(a, nw).tolist()
+    conflict = stage_c_conflict(a, nw, v, h, sibling_ks).tolist()
     for row, b, c, k in zip(rows_c, bel_b, bel_c, conflict):
         window, non_window, v_sibl, h_sibl = row
         assert b == ref_stage_b(window, v_sibl, h_sibl, sibling_ks), row
@@ -243,9 +243,32 @@ class TestBatchedStages:
             table = rng.random((size, 4))
             table[::3] = table[0]   # repeated rows within a call
             got = stage_a_belief(*table.T, window_ks=ks)
-            assert len(stages._stage(ks, FEATURE_ATOMS)[1]) <= stages._MEMO_ROWS
+            assert stages._stage(ks, FEATURE_ATOMS).cache_info().currsize <= stages._MEMO_ROWS
             want = cold_beliefs(ref_stage_a, ks, table)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stage, row", [
+        (stage_a_belief, (0.5, 0.0, 0.6, 0.0)),
+        (stage_b_belief, (0.4, 0.0, 0.6)),
+        (stage_c_belief, (0.4, 0.0, 0.0, 0.6)),
+        (stage_c_conflict, (0.0, 0.5, 0.6, 0.0)),
+    ], ids=["a", "b", "c", "c-conflict"])
+    def test_signed_zeros_share_an_entry(self, stage, row, monkeypatch):
+        """A zero support is the vacuous mass whatever its sign, so the row
+        with -0.0 gets the bits of the row with 0.0 from the same cache
+        entry, with no second chain run."""
+        calls = []
+
+        def counted(ms):
+            calls.append(ms)
+            return combine_all(ms)
+        stages._stage.cache_clear()
+        monkeypatch.setattr(stages, "combine_all", counted)
+        first = stage(*row)
+        assert len(calls) == 1
+        second = stage(*(-s if s == 0.0 else s for s in row))
+        assert len(calls) == 1
+        assert first.hex() == second.hex()
 
     def test_default_knowledge_built_once(self):
         # one shared source per process; it is frozen, so sharing is safe
@@ -255,7 +278,7 @@ class TestBatchedStages:
     def test_scalar_call_returns_float(self):
         assert type(stage_a_belief(0.5, 0.4, 0.6, 0.6)) is float
         assert type(stage_c_belief(0.5, 0.5, 0.6, 0.0)) is float
-        assert type(stage_c_conflict(0.5, 0.5)) is float
+        assert type(stage_c_conflict(0.5, 0.5, 0.6, 0.0)) is float
 
     def test_empty_batch(self):
         empty = np.zeros(0)
@@ -278,7 +301,7 @@ class TestBatchedStages:
         with pytest.raises(TotalConflictError):
             stage_c_belief([0.5, 1.0], [0.5, 1.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(TotalConflictError):
-            stage_c_conflict(1.0, 1.0)
+            stage_c_conflict(1.0, 1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
     def test_support_outside_unit_interval(self, s):
@@ -289,14 +312,14 @@ class TestBatchedStages:
 
     def test_knowledge_frame_missing_an_atom(self):
         short = make_frame(["elong", "text", "lt-bound"])
-        ks = KnowledgeSource.build("window", short, {"elong": 0.5, "THETA": 0.5})
+        ks = KnowledgeSource.build("window", short, [("elong", 0.5), ("THETA", 0.5)])
         with pytest.raises(UnknownAtomError):
             stage_a_belief(0.5, 0.4, 0.6, 0.6, window_ks=ks)
         for _ in range(2):   # also with no rows to verify, every time
             with pytest.raises(UnknownAtomError):
                 stage_a_belief(*[np.zeros(0)] * 4, window_ks=ks)
         no_window = make_frame(["v-sibl", "h-sibl"])
-        ks = KnowledgeSource.build("window", no_window, {"v-sibl": 1.0})
+        ks = KnowledgeSource.build("window", no_window, [("v-sibl", 1.0)])
         with pytest.raises(UnknownAtomError):
             stage_c_belief(0.5, 0.5, 0.6, 0.6, ks)
         with pytest.raises(UnknownAtomError):

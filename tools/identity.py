@@ -16,7 +16,12 @@ process writes the ``facades``, ``noise`` and ``evidence`` inputs of seeds
 - an evidence input: the exit status and output bytes of ``dsvision
   combine`` and of ``dsvision verify`` on that combination;
 
-and once the output of ``dsvision areas`` and ``dsvision shutter``.  Floats
+once the output of ``dsvision areas`` and ``dsvision shutter``; the exit
+status, stderr and output bytes of ``dsvision combine`` and ``dsvision
+verify`` on each of ``MASS_TEXTS`` and ``KNOWLEDGE_TEXTS``, which are
+malformed or repeat a focal; and for each seed-1 ``facades`` input the
+candidates and the ``dsvision pipeline --knowledge W --knowledge S`` bytes
+under the non-default sources ``SOURCES``.  Floats
 are hashed by ``repr``, which tells float64 values apart (NaN aside).  Every
 checkout is compared with the first: the first output that differs is
 printed and the exit status is 1.  With every output equal it prints a
@@ -46,13 +51,71 @@ CONFIGS = {
          "boundary_bands = 0.7:0.6,0.35:0.3,0.1:0.1\n",
 }
 
+# mass texts for ``combine``, and as evidence for ``verify`` against
+# KNOWLEDGE_TEXTS[0]; all but the first two are rejected
+MASS_TEXTS = [
+    "frame a b c\nfocal a&b 0.2\nfocal b&a 0.1\nfocal a 0.3\nfocal a 0.1\n"
+    "focal THETA 0.2\nfocal THETA 0.1\n",
+    "frame a b c  # atoms\n\n  focal a&!c 0.5 # one\nfocal THETA 0.5\n",
+    "frame a b\nhypothesis h\nfocal THETA 1\n",
+    "focal a 1\n",
+    "",
+    "frame a\nframe b\nfocal THETA 1\n",
+    "frame a b\nfocal a\n",
+    "frame a b\nfocal a 0.5 0.5\n",
+    "frame a b\nfocal a x\n",
+    "frame a b\nfocal a|b 0.5\nfocal THETA 0.5\n",
+    "frame a b\nfocal c 1\n",
+    "frame a a\nfocal THETA 1\n",
+    "frame a\nfocal a 0.5\nfocal THETA 0.2\n",
+    "frame a\nfocal a nan\nfocal THETA 1\n",
+    "frame a b\nfocal a&!a 1\n",
+    "bogus line\n",
+]
+
+# knowledge texts for ``verify`` of MASS_TEXTS[0]; all but the first four
+# are rejected
+KNOWLEDGE_TEXTS = [
+    "hypothesis h\nframe a b c\nfocal a 0.3\nfocal b|c 0.3\nfocal THETA 0.4\n",
+    "hypothesis h\nframe a b c\nfocal a&b 0.1\nfocal b&a 0.2\nfocal c 0.3\n"
+    "focal THETA 0.1\nfocal THETA 0.2\nfocal THETA 0.1\n",
+    "frame a b c\nhypothesis h\nfocal a|b 0.4\nfocal b|a 0.2\nfocal a|b 0.1\n"
+    "focal THETA 0.3\n",
+    "hypothesis h\nframe a b c\nfocal THETA 1\n",
+    "frame a b c\nfocal THETA 1\n",
+    "hypothesis h\nfocal THETA 1\n",
+    "hypothesis\nframe a b c\nfocal THETA 1\n",
+    "hypothesis h h\nframe a b c\nfocal THETA 1\n",
+    "hypothesis h\nhypothesis g\nframe a b c\nfocal THETA 1\n",
+    "hypothesis h\nframe a b c\nframe a b c\nfocal THETA 1\n",
+    "hypothesis h\nframe a b c\nfocal !a 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal a 0.5\nfocal THETA 0.4\n",
+    "hypothesis h\nframe a b c\nfocal d 1\n",
+    "hypothesis h\nframe a b c\nfocal a x\n",
+    "hypothesis h\nframe a b c\nfocal a 0.5\nfocal THETA\n",
+    "hypothesis h\nframe a b c\nfocal THETA 1.5\nfocal a -0.5\n",
+    "hypothesis h\nframe a b c\nfocal THETA 0.5\nfocal a 0.5\nprior 1\n",
+    "hypothesis h\nframe a b\nfocal a 0.5\nfocal THETA 0.5\n",
+]
+
+# non-default window and sibling sources, with repeated focals and THETA
+# lines, one frame in another order
+SOURCES = {
+    "window": "hypothesis window\nframe elong text lt-bound rt-bound\nfocal elong 0.1\n"
+              "focal text 0.15\nfocal lt-bound&rt-bound 0.2\nfocal rt-bound&lt-bound 0.1\n"
+              "focal lt-bound|rt-bound 0.2\nfocal THETA 0.15\nfocal THETA 0.1\n",
+    "sibling": "hypothesis window\nframe h-sibl window v-sibl\nfocal window 0.3\n"
+               "focal window 0.2\nfocal v-sibl&h-sibl 0.15\nfocal h-sibl 0.1\n"
+               "focal v-sibl|h-sibl 0.1\nfocal THETA 0.1\nfocal THETA 0.05\n",
+}
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 PROBE = r"""
-import hashlib, json, os, sys, tempfile
+import contextlib, hashlib, io, json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 import inputs
-from dsvision import cli, netpbm, pyramid
+from dsvision import cli, knowledge, netpbm, pyramid
 
 def digest(*parts):
     h = hashlib.sha256()
@@ -70,11 +133,19 @@ def read(path):
     with open(path, "rb") as fh:
         return fh.read()
 
-def outcome(argv, *paths):
+def outcome(argv, *paths, stderr=False):
     # the files are removed first, so that a call that writes none shows
     for path in filter(os.path.exists, paths):
         os.unlink(path)
-    return digest(cli.main(argv), *map(read, paths))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return digest(status, *map(read, paths), *([err.getvalue()] if stderr else []))
+
+def write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
 
 def candidates(result):
     rows = {"candidates": len(result.candidates)}
@@ -84,13 +155,16 @@ def candidates(result):
             c.non_window, c.conflict)
     return rows
 
-configs = json.loads(sys.argv[2])
+texts = json.loads(sys.argv[2])
+configs = texts["configs"]
 out = {}
 with tempfile.TemporaryDirectory() as work:
     tsv, ppm, mass = (os.path.join(work, name) for name in ("out.tsv", "out.ppm", "out.mass"))
     for name, text in configs.items():
-        with open(os.path.join(work, name + ".cfg"), "w") as fh:
-            fh.write(text)
+        write(os.path.join(work, name + ".cfg"), text)
+    sources = [write(os.path.join(work, name + ".know"), text)
+               for name, text in texts["sources"].items()]
+    window_ks, sibling_ks = map(knowledge.parse_knowledge, texts["sources"].values())
     for seed in map(int, sys.argv[3:]):
         for workload in ("facades", "noise", "evidence"):
             os.makedirs(os.path.join(work, workload, str(seed)))
@@ -111,6 +185,14 @@ with tempfile.TemporaryDirectory() as work:
                     row[f"config {name} report and overlay"] = outcome(
                         ["pipeline", inp.path, "--config", os.path.join(work, name + ".cfg"),
                          "--out", tsv, "--overlay", ppm], tsv, ppm)
+                if seed == 1 and workload == "facades":
+                    sourced = pyramid.run_pipeline(image, window_ks=window_ks,
+                                                   sibling_ks=sibling_ks)
+                    row.update({f"sources {key}": value
+                                for key, value in candidates(sourced).items()})
+                    row["sources report and overlay"] = outcome(
+                        ["pipeline", inp.path, "--knowledge", sources[0], "--knowledge",
+                         sources[1], "--out", tsv, "--overlay", ppm], tsv, ppm)
                 out[f"{workload} seed {seed} {os.path.basename(inp.path)}"] = row
         for k, inp in enumerate(inputs.make_evidence(seed, os.path.join(work, "evidence",
                                                                          str(seed)))):
@@ -120,6 +202,19 @@ with tempfile.TemporaryDirectory() as work:
                                    inp.knowledge_path, "--out", tsv], tsv)}
     for command in ("areas", "shutter"):
         out[command] = {command: outcome([command, "--out", tsv], tsv)}
+    masses = [write(os.path.join(work, f"{k}.mass"), text)
+              for k, text in enumerate(texts["mass"])]
+    known = [write(os.path.join(work, f"{k}.know"), text)
+             for k, text in enumerate(texts["knowledge"])]
+    for k, path in enumerate(masses):
+        out[f"mass text {k}"] = {
+            "combine": outcome(["combine", path, "--out", mass], mass, stderr=True),
+            "verify": outcome(["verify", "--evidence", path, "--knowledge", known[0],
+                               "--out", tsv], tsv, stderr=True)}
+    for k, path in enumerate(known):
+        out[f"knowledge text {k}"] = {"verify": outcome(
+            ["verify", "--evidence", masses[0], "--knowledge", path, "--out", tsv], tsv,
+            stderr=True)}
 print(json.dumps(out))
 """
 
@@ -128,7 +223,9 @@ def outputs(root: str) -> dict:
     # no bytecode is written next to perfbench/inputs.py
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"),
                PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", PROBE, PERFBENCH, json.dumps(CONFIGS),
+    texts = {"configs": CONFIGS, "mass": MASS_TEXTS, "knowledge": KNOWLEDGE_TEXTS,
+             "sources": SOURCES}
+    proc = subprocess.run([sys.executable, "-c", PROBE, PERFBENCH, json.dumps(texts),
                            *map(str, SEEDS)],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
