@@ -10,7 +10,6 @@ errors exit with status 2 and a one-line diagnostic on stderr.  Only
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import importlib
 import sys
@@ -83,7 +82,8 @@ def cmd_pipeline(args) -> int:
     image = _cli.read_pgm(args.image)
     config = _cli.parse_config(_read(args.config)) if args.config else _cli.DEFAULT_CONFIG
     if args.threshold is not None:
-        config = dataclasses.replace(config, survivor_threshold=args.threshold)
+        from dataclasses import replace  # the pipeline loads it anyway
+        config = replace(config, survivor_threshold=args.threshold)
     paths = args.knowledge or []
     if len(paths) > 2:
         raise DSVisionError(f"{len(paths)} --knowledge files given; at most two "

@@ -10,8 +10,8 @@ test a bitwise containment check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections import namedtuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     ContradictionError,
@@ -35,23 +35,26 @@ CONJUNCTION = "and"
 DISJUNCTION = "or"
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An ordered collection of binary feature atoms.
+class Frame(tuple):
+    """An ordered collection of binary feature atoms: the tuple of their names.
 
     The worlds of the frame are the 2^n truth assignments over its atoms;
     atom order is the input order and fixes all canonical serializations.
     """
 
-    atoms: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __new__(cls, atoms: Iterable[str]):
+        self = super().__new__(cls, atoms)
+        for name in self:
+            if not isinstance(name, str):
+                raise ParseError(f"atom {name!r} is not a string")
+        if not self:
             raise EmptyNameError("a frame needs at least one atom")
-        if len(self.atoms) > MAX_ATOMS:
-            raise TooManyAtomsError(f"{len(self.atoms)} atoms exceeds the bound of {MAX_ATOMS}")
+        if len(self) > MAX_ATOMS:
+            raise TooManyAtomsError(f"{len(self)} atoms exceeds the bound of {MAX_ATOMS}")
         seen = set()
-        for name in self.atoms:
+        for name in self:
             if not name:
                 raise EmptyNameError("atom names must be non-empty")
             # "#" and whitespace would break the text formats' comments and
@@ -61,23 +64,24 @@ class Frame:
             if name in seen:
                 raise DuplicateAtomError(f"duplicate atom {name!r}")
             seen.add(name)
+        return self
 
-    def __len__(self) -> int:
-        return len(self.atoms)
+    @property
+    def atoms(self) -> tuple[str, ...]:
+        return tuple(self)
 
     def index(self, atom: str) -> int:
         try:
-            return self.atoms.index(atom)
+            return tuple.index(self, atom)
         except ValueError:
-            raise UnknownAtomError(f"atom {atom!r} not in frame {list(self.atoms)}") from None
+            raise UnknownAtomError(f"atom {atom!r} not in frame {list(self)}") from None
 
 
 def make_frame(atom_names: Iterable[str]) -> Frame:
-    return Frame(tuple(atom_names))
+    return Frame(atom_names)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     atom: str
     positive: bool = True
 
@@ -85,29 +89,26 @@ class Literal:
         return self.atom if self.positive else "!" + self.atom
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", "frame kind pos neg")):
     """A focal element: a conjunction of literals or a disjunction of atoms.
 
     The empty conjunction denotes the whole frame (theta).  Disjunctions are
     restricted to positive atoms, the only form knowledge sources use.
     """
 
-    frame: Frame
-    kind: str
-    pos: int
-    neg: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (CONJUNCTION, DISJUNCTION):
-            raise ValueError(f"bad clause kind {self.kind!r}")
-        if self.kind == CONJUNCTION and self.pos & self.neg:
+    def __new__(cls, frame: Frame, kind: str, pos: int, neg: int):
+        if kind not in (CONJUNCTION, DISJUNCTION):
+            raise ValueError(f"bad clause kind {kind!r}")
+        if kind == CONJUNCTION and pos & neg:
             raise ContradictionError("conjunction contains both polarities of an atom")
-        if self.kind == DISJUNCTION:
-            if self.neg:
+        if kind == DISJUNCTION:
+            if neg:
                 raise ContradictionError("disjunctions may contain only positive atoms")
-            if not self.pos:
+            if not pos:
                 raise ContradictionError("an empty disjunction denotes the empty set")
+        return super().__new__(cls, frame, kind, pos, neg)
 
     @staticmethod
     def conjunction(frame: Frame, literals: Iterable[str]) -> "Clause":
@@ -258,8 +259,7 @@ class MassFunction:
         return f"MassFunction({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class CombineOutcome:
+class CombineOutcome(NamedTuple):
     result: MassFunction
     conflict: float
 

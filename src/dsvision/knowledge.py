@@ -10,8 +10,8 @@ knowledge residual on theta excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     FrameMismatchError,
@@ -30,21 +30,18 @@ from .evidence import (
 )
 
 
-@dataclass(frozen=True)
-class KnowledgeSource:
+class KnowledgeSource(namedtuple("KnowledgeSource", "name frame focals theta_mass")):
     """The stored mass distribution for one hypothesis."""
 
-    name: str
-    frame: Frame
-    focals: tuple[tuple[Clause, float], ...]
-    theta_mass: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, name: str, frame: Frame, focals: tuple[tuple[Clause, float], ...],
+                theta_mass: float):
         # masses are checked before they are summed, since fsum raises on
         # inf + -inf and on an overflowing sum; the inverted comparisons also
         # reject NaN
-        for clause, mass in self.focals:
-            if clause.frame != self.frame:
+        for clause, mass in focals:
+            if clause.frame != frame:
                 raise FrameMismatchError("knowledge focal over a different frame")
             if not 0 < mass <= 1.0 + MASS_SUM_TOL:
                 raise NormalizationError(f"mass {mass} on {clause} outside (0, 1]")
@@ -52,11 +49,12 @@ class KnowledgeSource:
                 raise NegativeLiteralInKnowledgeError(f"negative literal in {clause}")
             if clause.is_theta:
                 raise ParseError("use the theta residual, not a THETA focal")
-        if not 0 <= self.theta_mass <= 1.0 + MASS_SUM_TOL:
-            raise NormalizationError(f"theta mass {self.theta_mass} outside [0, 1]")
-        total = math.fsum(m for _, m in self.focals) + self.theta_mass
+        if not 0 <= theta_mass <= 1.0 + MASS_SUM_TOL:
+            raise NormalizationError(f"theta mass {theta_mass} outside [0, 1]")
+        total = math.fsum(m for _, m in focals) + theta_mass
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise NormalizationError(f"knowledge masses sum to {total}, expected 1")
+        return super().__new__(cls, name, frame, focals, theta_mass)
 
     @staticmethod
     def build(name: str, frame: Frame, focals: Iterable[tuple[str, float]]) -> "KnowledgeSource":
@@ -72,8 +70,7 @@ class KnowledgeSource:
         return KnowledgeSource(name, frame, tuple(parsed), theta)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     hypothesis: str
     bel: float
 

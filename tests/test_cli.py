@@ -381,7 +381,9 @@ def test_evidence_commands_never_raise(tmp_path_factory, masses, knowledge):
 
 
 class TestLazyImports:
-    def test_evidence_commands_load_no_numpy(self, tmp_path):
+    def test_evidence_commands_load_no_numpy_or_dataclasses(self, tmp_path):
+        """``combine`` and ``verify`` load neither numpy nor ``dataclasses``
+        and the ``inspect`` it imports."""
         (tmp_path / "a.mass").write_text(MASS_A)
         (tmp_path / "b.mass").write_text(MASS_B)
         (tmp_path / "ks.know").write_text("hypothesis window\nframe window v-sibl h-sibl\n"
@@ -390,12 +392,13 @@ class TestLazyImports:
                  "from dsvision import cli\n"
                  "codes = [cli.main(['combine', 'a.mass', 'b.mass', '--out', 'ab.mass']),\n"
                  "         cli.main(['verify', '--evidence', 'ab.mass', '--knowledge', 'ks.know'])]\n"
-                 "print(codes, 'numpy' in sys.modules)\n")
+                 "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+                 "print(codes, loaded)\n")
         src = os.path.dirname(os.path.dirname(dsvision.__file__))
         proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, text=True,
                               capture_output=True, env=dict(os.environ, PYTHONPATH=src),
                               check=True)
-        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_package_names_resolve(self):
         for name in dsvision.__all__:

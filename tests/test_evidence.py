@@ -82,6 +82,14 @@ class TestMakeFrame:
                            match=f"atom {re.escape(repr(name))} clashes with the clause syntax"):
             make_frame(["x", name])
 
+    @pytest.mark.parametrize("atoms, name", [
+        ([1, 2], "1"), ([0.0], "0.0"), (["a", "a", None], "None"), ([b"a"] * 17, "b'a'"),
+    ], ids=["int", "float", "after-a-duplicate", "over-the-bound"])
+    def test_non_string_atom(self, atoms, name):
+        # checked before any other rule, so it is named whatever else is wrong
+        with pytest.raises(ParseError, match=f"^atom {re.escape(name)} is not a string$"):
+            make_frame(atoms)
+
 
 class TestClause:
     def test_contradictory_conjunction_rejected(self):

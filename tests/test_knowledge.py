@@ -3,18 +3,31 @@ import random
 import pytest
 
 from conftest import random_knowledge, random_mass, vacuous
+from dsvision import stages
 from dsvision.errors import (
+    ContradictionError,
+    DuplicateAtomError,
     FrameMismatchError,
     NegativeLiteralInKnowledgeError,
     NormalizationError,
     ParseError,
     UnknownAtomError,
 )
-from dsvision.evidence import Clause, combine_all, make_frame, simple_support
+from dsvision.evidence import (
+    CONJUNCTION,
+    Clause,
+    Frame,
+    Literal,
+    combine,
+    combine_all,
+    make_frame,
+    simple_support,
+)
 from dsvision.fixtures import SHUTTER_FRAME, shutter_evidence, shutter_knowledge
 from dsvision.knowledge import KnowledgeSource, parse_knowledge, verify
 from dsvision.oracle import from_mass_function, oracle_verify
 from dsvision.stages import (
+    FEATURE_ATOMS,
     SIBLING_FRAME,
     sibling_knowledge,
     stage_b_belief,
@@ -236,3 +249,39 @@ class TestParseKnowledge:
             assert verify(m_e, ks).bel.hex() == verify(m_e, by_hand).bel.hex()
             differs += verify(m_e, ks).bel != verify(m_e, merged).bel
         assert differs > 0
+
+
+class TestRecords:
+    """The evidence core's records are immutable values: set no field, are
+    equal and hash equal when built alike, and validate when built directly."""
+
+    def test_fields_cannot_be_set(self):
+        frame = make_frame("ab")
+        a = Clause.parse(frame, "a")
+        m = simple_support(frame, a, 0.6)
+        ks = KnowledgeSource.build("h", frame, [("a|b", 0.7), ("THETA", 0.3)])
+        records = [(frame, "atoms"), (Literal("a"), "positive"), (a, "pos"),
+                   (combine(m, m), "conflict"), (ks, "theta_mass"), (verify(m, ks), "bel")]
+        for record, field in records:
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, field))
+
+    def test_equal_sources_share_a_stage_cache_entry(self):
+        text = (f"hypothesis window\nframe {' '.join(FEATURE_ATOMS)}\n"
+                "focal elong&text 0.6\nfocal THETA 0.4\n")
+        first, second = parse_knowledge(text), parse_knowledge(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        stages._stage.cache_clear()
+        assert stages._stage(first, FEATURE_ATOMS) is stages._stage(second, FEATURE_ATOMS)
+        assert stages._stage.cache_info().currsize == 1
+
+    def test_direct_construction_validates(self):
+        with pytest.raises(DuplicateAtomError, match="^duplicate atom 'a'$"):
+            Frame(("a", "a"))
+        frame = make_frame("ab")
+        with pytest.raises(ContradictionError, match="both polarities"):
+            Clause(frame, CONJUNCTION, 1, 1)
+        with pytest.raises(NormalizationError, match=r"^mass nan on a outside \(0, 1\]$"):
+            KnowledgeSource("h", frame, ((Clause.parse(frame, "a"), float("nan")),), 0.5)

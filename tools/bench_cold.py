@@ -19,7 +19,12 @@ so that a slow spell of the host falls on all of them.
 
 Writes ``BENCH_cold.json`` at the repository root: per checkout and command,
 the median and quartiles (in s) of ``setup_s`` (import plus first op, as
-the benchmark's ``setup_s``), ``import_s`` and ``first_op_s``.
+the benchmark's ``setup_s``), ``import_s`` and ``first_op_s``.  For every
+checkout after the first it adds, under ``minus_<first checkout>``, the
+median and quartiles of each round's paired difference: its sample minus
+the first checkout's sample of the same command in the same round.  A slow
+spell of the host shifts both samples of a pair, so these settle a gap that
+the per-checkout quartiles, which spread with the host, do not.
 """
 
 import json
@@ -92,9 +97,16 @@ def main(argv) -> None:
             for command, op in ops.items():
                 for name, root in trees.items():
                     samples[name][command].append(sample(root, op, work))
+    first = next(iter(samples))
     for name, by_command in samples.items():
-        result[name] = {command: {key: summary([s[key] for s in runs]) for key in runs[0]}
-                        for command, runs in by_command.items()}
+        result[name] = {}
+        for command, runs in by_command.items():
+            stats = {key: summary([s[key] for s in runs]) for key in runs[0]}
+            if name != first:
+                pairs = list(zip(runs, samples[first][command]))
+                stats["minus_" + first] = {key: summary([s[key] - f[key] for s, f in pairs])
+                                           for key in runs[0]}
+            result[name][command] = stats
     with open(os.path.join(ROOT, "BENCH_cold.json"), "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
