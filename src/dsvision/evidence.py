@@ -18,6 +18,7 @@ from .errors import (
     DuplicateAtomError,
     EmptyNameError,
     FrameMismatchError,
+    InvalidParamsError,
     NormalizationError,
     ParseError,
     TooManyAtomsError,
@@ -100,7 +101,7 @@ class Clause(namedtuple("Clause", "frame kind pos neg")):
 
     def __new__(cls, frame: Frame, kind: str, pos: int, neg: int):
         if kind not in (CONJUNCTION, DISJUNCTION):
-            raise ValueError(f"bad clause kind {kind!r}")
+            raise ParseError(f"bad clause kind {kind!r}")
         if kind == CONJUNCTION and pos & neg:
             raise ContradictionError("conjunction contains both polarities of an atom")
         if kind == DISJUNCTION:
@@ -187,7 +188,7 @@ def clause_subset(a: Clause, b: Clause) -> bool:
     """
     _check_same_frame(a, b)
     if a.kind != CONJUNCTION:
-        raise ValueError("subset test requires a conjunction on the left")
+        raise ParseError("subset test requires a conjunction on the left")
     if b.kind == CONJUNCTION:
         return (a.pos & b.pos) == b.pos and (a.neg & b.neg) == b.neg
     return (a.pos & b.pos) != 0
@@ -198,7 +199,7 @@ def clause_intersect(a: Clause, b: Clause) -> Clause | None:
     when some atom occurs with both polarities (the empty set)."""
     _check_same_frame(a, b)
     if a.kind != CONJUNCTION or b.kind != CONJUNCTION:
-        raise ValueError("intersection is defined on conjunction clauses")
+        raise ParseError("intersection is defined on conjunction clauses")
     pos = a.pos | b.pos
     neg = a.neg | b.neg
     if pos & neg:
@@ -221,7 +222,7 @@ class MassFunction:
             if clause.frame != frame:
                 raise FrameMismatchError("focal clause belongs to another frame")
             if clause.kind != CONJUNCTION:
-                raise ValueError("mass-function focals must be conjunction clauses")
+                raise ParseError("mass-function focals must be conjunction clauses")
             if not mass >= 0:  # also rejects NaN
                 kind = "negative" if mass < 0 else "NaN"
                 raise NormalizationError(f"{kind} mass {mass} on {clause}")
@@ -320,7 +321,7 @@ def combine_all(ms: list[MassFunction]) -> CombineOutcome:
     aggregate conflict is 1 - prod(1 - K_step) over the fold steps.
     """
     if not ms:
-        raise ValueError("combine_all needs at least one mass function")
+        raise InvalidParamsError("combine_all needs at least one mass function")
     acc = ms[0]
     survival = 1.0
     for m in ms[1:]:

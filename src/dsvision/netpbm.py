@@ -9,7 +9,6 @@ import numpy as np
 from .errors import CorruptHeaderError, TruncatedDataError, UnsupportedFormatError
 
 _BLOCK = 1 << 16   # bytes of P2 body decoded at once
-_DIGITS = b"0123456789"
 _NON_DIGIT = re.compile(rb"[^0-9]")
 
 # whitespace and comments, then the next token: both parts always match (a
@@ -79,9 +78,10 @@ def _p2_samples(data: bytes, start: int, size: int, maxval: int) -> np.ndarray:
     """The first `size` samples of the P2 body ``data[start:]``: ASCII digit
     runs separated by whitespace.
 
-    The body is decoded in blocks of about `_BLOCK` bytes, each cut just
-    after a non-digit byte, so no token spans two blocks and no array is
-    larger than a few blocks.  Every token is counted, but only the first
+    The body is decoded in blocks, each ending just after the first
+    non-digit byte at least `_BLOCK` bytes in, so no token spans two blocks
+    and no array is larger than a few blocks (a token longer than a block
+    makes a longer block).  Every token is counted, but only the first
     `size` are kept and checked against `maxval`.  A sample takes a digit
     and a separator, so no more are allocated than the body could hold.
     """
@@ -89,16 +89,10 @@ def _p2_samples(data: bytes, start: int, size: int, maxval: int) -> np.ndarray:
     count = high = 0
     pos, end = start, len(data)
     while pos < end:
-        stop = min(pos + _BLOCK, end)
-        cut = stop - pos if stop == end else len(data[pos:stop].rstrip(_DIGITS))
-        if cut:
-            values = _block_values(data, pos, pos + cut)
-            pos += cut
-        else:   # a token runs past the block: take it whole
-            match = _NON_DIGIT.search(data, stop)
-            stop = match.start() if match else end
-            values = np.array([_clamped(data[pos:stop])], dtype=np.uint16)
-            pos = stop
+        match = _NON_DIGIT.search(data, pos + _BLOCK)
+        stop = match.end() if match else end
+        values = _block_values(data, pos, stop)
+        pos = stop
         kept = values[:max(size - count, 0)]
         if kept.size:
             samples[count:count + kept.size] = kept

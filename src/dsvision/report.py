@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .netpbm import to_uint8, write_ppm
-from .pyramid import CandidateArea, PipelineResult, _ranges, _rects
+from .pyramid import CandidateArea, PipelineResult
 
 COLUMNS = ("id", "bel_elong", "bel_text", "bel_lt_bound", "bel_rt_bound",
            "bel_wnd", "bel_v_sibl", "bel_h_sibl", "bel_wnd_b",
@@ -56,21 +56,15 @@ def write_overlay(image: np.ndarray, cands: list[CandidateArea], path: str) -> N
     equals, and a pixel takes the hue of the last outline drawn through it.
     """
     gray = to_uint8(image)
-    bel_c = np.array([c.bel_c for c in cands], dtype=np.float64)
-    order = np.argsort(bel_c, kind="stable")
-    top, left, height, width = _rects(cands)[:, order]
-    hue = 2 - (bel_c[order] >= 0.4) - (bel_c[order] >= 0.2)   # strong, middling, weak
-    across, x = _ranges(left, width)
-    down, y = _ranges(top, height)
-    # the top, bottom, left and right sides, each pixel with its drawing rank
-    pixels = np.ravel_multi_index(
-        (np.concatenate((top[across], top[across] + height[across] - 1, y, y)),
-         np.concatenate((x, x, left[down], left[down] + width[down] - 1))), gray.shape)
-    last = np.full(gray.size, -1)
-    np.maximum.at(last, pixels, np.concatenate((across, across, down, down)))
-    drawn = np.flatnonzero(last >= 0)
     rgb = np.stack((gray, gray, gray), axis=-1)
-    rgb.reshape(-1, 3)[drawn] = _HUES[hue[last[drawn]]]
+    bel_c = np.array([c.bel_c for c in cands], dtype=np.float64)
+    for i in np.argsort(bel_c, kind="stable").tolist():
+        r, bel = cands[i].rect, bel_c[i]
+        hue = _HUES[0 if bel >= 0.4 else 1 if bel >= 0.2 else 2]   # strong, middling, weak
+        rgb[r.top, r.left:r.right] = hue
+        rgb[r.bottom - 1, r.left:r.right] = hue
+        rgb[r.top:r.bottom, r.left] = hue
+        rgb[r.top:r.bottom, r.right - 1] = hue
     write_ppm(rgb, path)
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import vacuous
 from dsvision.errors import (
     ContradictionError,
+    DSVisionError,
     DuplicateAtomError,
     EmptyNameError,
     FrameMismatchError,
+    InvalidParamsError,
     NormalizationError,
     ParseError,
     TooManyAtomsError,
@@ -116,6 +118,24 @@ class TestClause:
         frame = make_frame(["a", "b"])
         with pytest.raises(ParseError):
             Clause.parse(frame, "!a|b")
+
+
+_AB = make_frame(["a", "b"])
+_A_OR_B = Clause.disjunction(_AB, ["a", "b"])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Clause(_AB, "xor", 1, 0), ParseError),
+    (lambda: clause_subset(_A_OR_B, conj(_AB, "a")), ParseError),
+    (lambda: clause_intersect(conj(_AB, "a"), _A_OR_B), ParseError),
+    (lambda: MassFunction(_AB, {_A_OR_B: 1.0}), ParseError),
+    (lambda: combine_all([]), InvalidParamsError),
+], ids=["clause-kind", "subset-disjunction", "intersect-disjunction", "disjunction-focal",
+        "combine-nothing"])
+def test_invalid_api_input_raises_dsvision_error(call, error):
+    with pytest.raises(DSVisionError) as info:
+        call()
+    assert type(info.value) is error
 
 
 class TestSimpleSupport:
@@ -321,7 +341,7 @@ class TestCombineAll:
         assert len(outcome.result) == 16
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             combine_all([])
 
 

@@ -14,26 +14,24 @@ verifies each of those rows with an empty stage memo).
 The inputs are written once with ``perfbench/inputs.py`` and this
 checkout's ``src/``.  One untimed
 process per checkout and command writes its bytecode first; then, ``ROUNDS``
-times, each command runs once in each checkout, the checkouts taking turns
-so that a slow spell of the host falls on all of them.
+times, each command runs once in each checkout, in the alternating rounds of
+``paired.alternate``.
 
-Writes ``BENCH_cold.json`` at the repository root: per checkout and command,
-the median and quartiles (in s) of ``setup_s`` (import plus first op, as
-the benchmark's ``setup_s``), ``import_s`` and ``first_op_s``.  For every
-checkout after the first it adds, under ``minus_<first checkout>``, the
-median and quartiles of each round's paired difference: its sample minus
-the first checkout's sample of the same command in the same round.  A slow
-spell of the host shifts both samples of a pair, so these settle a gap that
-the per-checkout quartiles, which spread with the host, do not.
+Writes ``BENCH_cold.json`` at the repository root, as ``paired.summarise``
+lays it out: per checkout and command, the median and quartiles (in s) of
+``setup_s`` (import plus first op, as the benchmark's ``setup_s``),
+``import_s`` and ``first_op_s``, and under ``minus_<first checkout>`` those
+of each round's paired difference from the first checkout.
 """
 
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
+
+from paired import alternate, summarise
 
 ROUNDS = 20
 
@@ -78,35 +76,20 @@ def sample(root: str, argv: list[list[str]], work: str) -> dict:
             "import_s": timing["import_s"], "first_op_s": timing["first_op_s"]}
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"median": round(median, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
-
-
 def main(argv) -> None:
     trees = dict(arg.split("=", 1) for arg in argv)
     result = {"unit": f"s, median and quartiles of {ROUNDS} fresh processes",
               "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
     with tempfile.TemporaryDirectory() as work:
         ops = commands(work)
-        samples = {name: {command: [] for command in ops} for name in trees}
-        for command, op in ops.items():
+        for op in ops.values():
             for root in trees.values():
                 sample(root, op, work)
-        for _ in range(ROUNDS):
-            for command, op in ops.items():
-                for name, root in trees.items():
-                    samples[name][command].append(sample(root, op, work))
-    first = next(iter(samples))
-    for name, by_command in samples.items():
-        result[name] = {}
-        for command, runs in by_command.items():
-            stats = {key: summary([s[key] for s in runs]) for key in runs[0]}
-            if name != first:
-                pairs = list(zip(runs, samples[first][command]))
-                stats["minus_" + first] = {key: summary([s[key] - f[key] for s, f in pairs])
-                                           for key in runs[0]}
-            result[name][command] = stats
+
+        def run(_name, root, command, _round):
+            return sample(root, ops[command], work)
+
+        result.update(summarise(alternate(trees, ops, ROUNDS, run)))
     with open(os.path.join(ROOT, "BENCH_cold.json"), "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
