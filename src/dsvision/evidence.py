@@ -223,9 +223,12 @@ class MassFunction:
                 raise FrameMismatchError("focal clause belongs to another frame")
             if clause.kind != CONJUNCTION:
                 raise ParseError("mass-function focals must be conjunction clauses")
-            if not mass >= 0:  # also rejects NaN
-                kind = "negative" if mass < 0 else "NaN"
-                raise NormalizationError(f"{kind} mass {mass} on {clause}")
+            try:
+                if not mass >= 0:  # also rejects NaN
+                    kind = "negative" if mass < 0 else "NaN"
+                    raise NormalizationError(f"{kind} mass {mass} on {clause}")
+            except (TypeError, ValueError):
+                raise NormalizationError(f"mass {mass!r} on {clause} is not a number") from None
             if mass > 0:
                 # no focal may hold more than the total, so fsum cannot overflow
                 if mass > 1.0 + MASS_SUM_TOL:

@@ -39,18 +39,24 @@ class KnowledgeSource(namedtuple("KnowledgeSource", "name frame focals theta_mas
                 theta_mass: float):
         # masses are checked before they are summed, since fsum raises on
         # inf + -inf and on an overflowing sum; the inverted comparisons also
-        # reject NaN
+        # reject NaN, and raise on a mass that is not a number
         for clause, mass in focals:
             if clause.frame != frame:
                 raise FrameMismatchError("knowledge focal over a different frame")
-            if not 0 < mass <= 1.0 + MASS_SUM_TOL:
-                raise NormalizationError(f"mass {mass} on {clause} outside (0, 1]")
+            try:
+                if not 0 < mass <= 1.0 + MASS_SUM_TOL:
+                    raise NormalizationError(f"mass {mass} on {clause} outside (0, 1]")
+            except (TypeError, ValueError):
+                raise NormalizationError(f"mass {mass!r} on {clause} is not a number") from None
             if not clause.is_positive:
                 raise NegativeLiteralInKnowledgeError(f"negative literal in {clause}")
             if clause.is_theta:
                 raise ParseError("use the theta residual, not a THETA focal")
-        if not 0 <= theta_mass <= 1.0 + MASS_SUM_TOL:
-            raise NormalizationError(f"theta mass {theta_mass} outside [0, 1]")
+        try:
+            if not 0 <= theta_mass <= 1.0 + MASS_SUM_TOL:
+                raise NormalizationError(f"theta mass {theta_mass} outside [0, 1]")
+        except (TypeError, ValueError):
+            raise NormalizationError(f"theta mass {theta_mass!r} is not a number") from None
         total = math.fsum(m for _, m in focals) + theta_mass
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise NormalizationError(f"knowledge masses sum to {total}, expected 1")
@@ -64,7 +70,10 @@ class KnowledgeSource(namedtuple("KnowledgeSource", "name frame focals theta_mas
         parsed = []
         for text, mass in focals:
             if text == THETA_TOKEN:
-                theta += mass
+                try:
+                    theta += mass
+                except TypeError:
+                    raise NormalizationError(f"theta mass {mass!r} is not a number") from None
             else:
                 parsed.append((Clause.parse(frame, text), mass))
         return KnowledgeSource(name, frame, tuple(parsed), theta)

@@ -13,13 +13,14 @@ All stages are pure functions of (image, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assessment import BeliefTables, check_number, feature_supports
+from .assessment import feature_supports
 from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
-                     RectOutOfBoundsError)
+                     RectOutOfBoundsError, UnsupportedFormatError)
 from .evidence import text_lines
 from .knowledge import KnowledgeSource
 from .stages import (sibling_knowledge, stage_a_belief, stage_b_belief, stage_c_belief,
@@ -50,11 +51,29 @@ _COLLINEAR_PAIRS = {
 for _d in (4, 5, 6, 7):
     _COLLINEAR_PAIRS[_d] = _COLLINEAR_PAIRS[_d - 4]
 
-_UNIT_KEYS = ("sibling_support", "non_window_support", "quality_weight")
+# masses lie in [0, 1]; every float but the table's must be finite, and its
+# threshold may be infinite (always or never met)
+_UNIT_KEYS = ("sibling_support", "non_window_support", "quality_weight", "low_edgedness_belief")
+_TABLE_FLOATS = ("low_edgedness", "low_edgedness_belief")
+
+
+def check_number(name: str, value, default) -> None:
+    """Reject a value unlike its field's default: an int default takes an
+    integer, a float default any real number, and neither takes a bool."""
+    integral = isinstance(default, int)
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integral else "a number"
+        raise InvalidParamsError(f"{name} value {value!r} is not {noun}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The pipeline settings, stage A's piecewise-constant belief tables
+    among them.  A table's bands are (threshold, value) pairs: the first
+    matching band wins and a miss yields 0.  ``boundary_bands`` thresholds
+    are side-coverage fractions chosen to land on {0.6, 0.3, 0.1, 0}."""
+
     edge_threshold: float = 32.0
     short_support: int = 2
     long_support: int = 2
@@ -66,17 +85,33 @@ class PipelineConfig:
     non_window_support: float = 0.5
     cluster_distance: int = 2        # level-5 cells
     quality_weight: float = 1.0
-    tables: BeliefTables = field(default_factory=BeliefTables)
+    elongation_bands: tuple[tuple[float, float], ...] = ((3.0, 0.5), (5.0, 0.3))
+    low_edgedness: float = 0.1
+    low_edgedness_belief: float = 0.4
+    hv_d_bands: tuple[tuple[float, float], ...] = ((4.0, 0.4), (2.0, 0.2))
+    boundary_bands: tuple[tuple[float, float], ...] = ((0.75, 0.6), (0.4, 0.3), (0.15, 0.1))
 
     def __post_init__(self):
+        bounds, masses = [self.low_edgedness], [(key, getattr(self, key)) for key in _UNIT_KEYS]
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, (int, float)):
+            if not isinstance(f.default, tuple):
                 check_number(f.name, value, f.default)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise InvalidParamsError(f"{f.name} = {value} is not finite")
-        if not isinstance(self.tables, BeliefTables):
-            raise InvalidParamsError(f"tables value {self.tables!r} is not a BeliefTables")
+                if (isinstance(f.default, float) and f.name not in _TABLE_FLOATS
+                        and not math.isfinite(value)):
+                    raise InvalidParamsError(f"{f.name} = {value} is not finite")
+                continue
+            if not (isinstance(value, tuple)
+                    and all(isinstance(band, tuple) and len(band) == 2 for band in value)):
+                raise InvalidParamsError(
+                    f"{f.name} value {value!r} is not a tuple of (threshold, value) pairs")
+            for bound, bel in value:
+                check_number(f.name, bound, 0.0)
+                check_number(f.name, bel, 0.0)
+                bounds.append(bound)
+                masses.append((f.name, bel))
+        if any(math.isnan(bound) for bound in bounds):
+            raise InvalidParamsError("belief table thresholds must not be NaN")
         if min(self.short_support, self.long_support) < 1:
             raise InvalidParamsError("short_support and long_support must be at least 1")
         if min(self.sibling_tolerance, self.cluster_distance) < 0:
@@ -86,10 +121,9 @@ class PipelineConfig:
         if self.pair_min_sep > self.pair_max_sep:
             raise InvalidParamsError(
                 f"pair_min_sep {self.pair_min_sep} exceeds pair_max_sep {self.pair_max_sep}")
-        # supports and weights are masses
-        for key in _UNIT_KEYS:
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise InvalidParamsError(f"{key} value {getattr(self, key)} outside [0, 1]")
+        for key, value in masses:
+            if not 0.0 <= value <= 1.0:
+                raise InvalidParamsError(f"{key} value {value} outside [0, 1]")
 
 
 # a config is frozen, so every caller that sets nothing shares this one
@@ -108,13 +142,11 @@ def _read_value(text: str, default):
 def parse_config(text: str) -> PipelineConfig:
     """Parse the ``key = value`` pipeline config format (# comments).
 
-    The keys are the fields of :class:`PipelineConfig` (but ``tables``) and
-    of :class:`BeliefTables`, each value read as the type of its default.
-    Belief-table bands are comma-separated ``threshold:value`` pairs, e.g.
-    ``boundary_bands = 0.75:0.6,0.4:0.3,0.15:0.1``.
+    The keys are the fields of :class:`PipelineConfig`, each value read as
+    the type of its default.  Belief-table bands are comma-separated
+    ``threshold:value`` pairs, e.g. ``boundary_bands = 0.75:0.6,0.4:0.3,0.15:0.1``.
     """
-    defaults = {f.name: f.default for cls in (PipelineConfig, BeliefTables)
-                for f in fields(cls) if f.name != "tables"}
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
     values: dict = {}
     for lineno, line in text_lines(text):
         if "=" not in line:
@@ -128,8 +160,7 @@ def parse_config(text: str) -> PipelineConfig:
             values[key] = _read_value(value, defaults[key])
         except ValueError:
             raise ParseError(f"line {lineno}: bad value {value!r} for {key}") from None
-    tables = {f.name: values.pop(f.name) for f in fields(BeliefTables) if f.name in values}
-    return PipelineConfig(tables=BeliefTables(**tables), **values)
+    return PipelineConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -166,6 +197,8 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
     block means; a smaller side is its own base.
     """
     image = np.asarray(image)
+    if image.dtype.kind not in "biuf":   # bool, integer or float
+        raise UnsupportedFormatError(f"image pixels of type {image.dtype} are not real numbers")
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise BadDimensionsError(f"image must be square 2D, got {image.shape}")
     side = image.shape[0]
@@ -443,8 +476,7 @@ def stage_a_beliefs(rects: np.ndarray, p: Pyramid, micro: EdgeField,
                     config: PipelineConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Measure each candidate and verify the feature evidence: the (4, N)
     feature supports and the stage A beliefs."""
-    supports = np.array(feature_supports(*measure_candidates(p, rects, micro), config.tables,
-                                         config.quality_weight))
+    supports = feature_supports(measure_candidates(p, rects, micro), config)
     return supports, stage_a_belief(*supports, window_ks=window_ks)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -5,16 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsvision.assessment import (
-    DEFAULT_TABLES,
-    BeliefTables,
-    assess_feature,
-    boundary_belief,
-    elongation_belief,
-    feature_supports,
-    texture_belief,
-)
+from dsvision.assessment import feature_supports
 from dsvision.errors import InvalidParamsError, OutOfRangeError
+from dsvision.pyramid import DEFAULT_CONFIG, PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -55,42 +49,60 @@ def ref_assess_feature(goodness: float, quality_weight: float = 1.0) -> float:
     return goodness * quality_weight
 
 
-def ref_elongation_belief(e: float, tables: BeliefTables = DEFAULT_TABLES) -> float:
+def ref_elongation_belief(e: float, config: PipelineConfig = DEFAULT_CONFIG) -> float:
     if e < 1.0:
         raise OutOfRangeError(f"elongation {e} < 1")
-    for bound, value in tables.elongation_bands:
+    for bound, value in config.elongation_bands:
         if e <= bound:
             return value
     return 0.0
 
 
 def ref_texture_belief(edgedness: float, hv_d: float,
-                       tables: BeliefTables = DEFAULT_TABLES) -> float:
-    if edgedness < tables.low_edgedness:
-        return tables.low_edgedness_belief
-    for bound, value in tables.hv_d_bands:
+                       config: PipelineConfig = DEFAULT_CONFIG) -> float:
+    if edgedness < config.low_edgedness:
+        return config.low_edgedness_belief
+    for bound, value in config.hv_d_bands:
         if hv_d >= bound:
             return value
     return 0.0
 
 
-def ref_boundary_belief(support: float, tables: BeliefTables = DEFAULT_TABLES) -> float:
+def ref_boundary_belief(support: float, config: PipelineConfig = DEFAULT_CONFIG) -> float:
     if not 0.0 <= support <= 1.0:
         raise OutOfRangeError(f"boundary support {support} outside [0, 1]")
-    for bound, value in tables.boundary_bands:
+    for bound, value in config.boundary_bands:
         if support >= bound:
             return value
     return 0.0
 
 
-def ref_feature_supports(elongation, edgedness, hv_d, left, right,
-                         tables=DEFAULT_TABLES, quality_weight=1.0):
+def ref_feature_supports(elongation, edgedness, hv_d, left, right, config=DEFAULT_CONFIG):
+    weight = config.quality_weight
     return (
-        ref_assess_feature(ref_elongation_belief(elongation, tables), quality_weight),
-        ref_assess_feature(ref_texture_belief(edgedness, hv_d, tables), quality_weight),
-        ref_assess_feature(ref_boundary_belief(left, tables), quality_weight),
-        ref_assess_feature(ref_boundary_belief(right, tables), quality_weight),
+        ref_assess_feature(ref_elongation_belief(elongation, config), weight),
+        ref_assess_feature(ref_texture_belief(edgedness, hv_d, config), weight),
+        ref_assess_feature(ref_boundary_belief(left, config), weight),
+        ref_assess_feature(ref_boundary_belief(right, config), weight),
     )
+
+
+# a measurement row that every default table accepts: elongation,
+# edgedness, hv_d, left and right coverage
+GOOD = (2.0, 0.3, 1.0, 0.0, 0.0)
+
+
+def supports(*row, config=DEFAULT_CONFIG) -> tuple:
+    """One candidate's four supports for the measurements ``row``."""
+    return tuple(feature_supports(np.array(row).reshape(5, 1), config)[:, 0].tolist())
+
+
+def measured(index, value, among=0):
+    """The (5, N) measurements of GOOD columns with ``value`` at row
+    ``index`` of one of them, ``among`` GOOD columns on either side."""
+    columns = np.array([GOOD] * (2 * among + 1)).T
+    columns[index, among] = value
+    return columns
 
 
 class TestStepMu:
@@ -124,30 +136,42 @@ class TestStepMu:
 
 
 class TestAssessFeature:
+    """Goodness times quality weight: each support is its table belief,
+    scaled by the config's ``quality_weight``."""
+
     def test_perfect(self):
-        assert assess_feature(1.0, 1.0) == 1.0
+        config = PipelineConfig(boundary_bands=((0.0, 1.0),), quality_weight=1.0)
+        assert supports(*GOOD, config=config)[2] == 1.0
 
     def test_zero_goodness(self):
-        assert assess_feature(0.0, 0.7) == 0.0
+        assert supports(12.0, 0.3, 1.0, 0.0, 0.0,
+                        config=PipelineConfig(quality_weight=0.7)) == (0.0,) * 4
 
     def test_product(self):
-        assert assess_feature(0.5, 0.8) == pytest.approx(0.4)
+        assert supports(1.5, *GOOD[1:], config=PipelineConfig(quality_weight=0.8))[0] == (
+            pytest.approx(0.4))
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_bounded_by_min(self, g, q):
-        assert assess_feature(g, q) <= min(g, q) + 1e-12
+        config = PipelineConfig(low_edgedness_belief=g, quality_weight=q)
+        assert supports(2.0, 0.0, 1.0, 0.0, 0.0, config=config)[1] <= min(g, q) + 1e-12
 
     def test_out_of_range(self):
-        for goodness in one_and_many(1.2, 0.5):
-            with pytest.raises(OutOfRangeError, match=r"^goodness 1.2 outside \[0, 1\]$"):
-                assess_feature(goodness, 1.0)
-        for weight in one_and_many(-0.1, 0.5) + one_and_many(math.nan, 0.5):
-            with pytest.raises(OutOfRangeError, match="^quality weight"):
-                assess_feature(0.5, weight)
+        # the config holds every weight and goodness to [0, 1], so no support
+        # can leave it
+        for kwargs, message in (
+                ({"quality_weight": -0.1}, r"quality_weight value -0\.1 outside \[0, 1\]"),
+                ({"quality_weight": math.nan}, "quality_weight = nan is not finite"),
+                ({"low_edgedness_belief": 1.2},
+                 r"low_edgedness_belief value 1\.2 outside \[0, 1\]")):
+            with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+                PipelineConfig(**kwargs)
 
     def test_arrays(self):
-        got = assess_feature(np.array([0.0, 0.5, 1.0]), 0.5)
-        assert got.tolist() == [0.0, 0.25, 0.5]
+        config = PipelineConfig(boundary_bands=((1.0, 1.0), (0.5, 0.5)), quality_weight=0.5)
+        rows = np.array([GOOD] * 3).T
+        rows[3] = [0.0, 0.5, 1.0]
+        assert feature_supports(rows, config)[2].tolist() == [0.0, 0.25, 0.5]
 
 
 class TestBeliefTables:
@@ -157,9 +181,9 @@ class TestBeliefTables:
         ({"boundary_bands": ((0.5, 1.5),)}, r"boundary_bands value 1\.5 outside \[0, 1\]"),
     ], ids=["nan-band-threshold", "nan-low-edgedness", "belief-above-one"])
     def test_invalid_table_rejected(self, kwargs, message):
-        # a table built outside a pipeline config must not silently read as 0
+        # a table built in Python, not parsed, must not silently read as 0
         with pytest.raises(InvalidParamsError, match=f"^{message}$"):
-            BeliefTables(**kwargs)
+            PipelineConfig(**kwargs)
 
 
 class TestElongationBelief:
@@ -169,17 +193,17 @@ class TestElongationBelief:
         (5.1, 0.0), (12.0, 0.0),
     ])
     def test_bands(self, e, expected):
-        assert elongation_belief(e) == expected
+        assert supports(e, *GOOD[1:])[0] == expected
 
     def test_below_one_rejected(self):
-        for e in one_and_many(0.5, 2.0) + one_and_many(math.nan, 2.0):
+        for e, among in itertools.product((0.5, math.nan), (0, 2)):
             with pytest.raises(OutOfRangeError, match="^elongation"):
-                elongation_belief(e)
+                feature_supports(measured(0, e, among), DEFAULT_CONFIG)
 
     @given(st.floats(min_value=1, max_value=100))
     def test_value_set_and_monotone(self, e):
-        assert elongation_belief(e) in (0.5, 0.3, 0.0)
-        assert elongation_belief(e) >= elongation_belief(e + 1.0)
+        assert supports(e, *GOOD[1:])[0] in (0.5, 0.3, 0.0)
+        assert supports(e, *GOOD[1:])[0] >= supports(e + 1.0, *GOOD[1:])[0]
 
 
 class TestTextureBelief:
@@ -194,16 +218,16 @@ class TestTextureBelief:
         (0.3, 0.0, 0.0),
     ])
     def test_branches(self, edgedness, hv_d, expected):
-        assert texture_belief(edgedness, hv_d) == expected
+        assert supports(2.0, edgedness, hv_d, 0.0, 0.0)[1] == expected
 
     @given(st.floats(min_value=0.1, max_value=10), st.floats(min_value=0, max_value=100))
     def test_value_set(self, edgedness, hv_d):
-        assert texture_belief(edgedness, hv_d) in (0.4, 0.2, 0.0)
+        assert supports(2.0, edgedness, hv_d, 0.0, 0.0)[1] in (0.4, 0.2, 0.0)
 
     def test_negative_edgedness_rejected(self):
-        for edgedness in one_and_many(-0.1, 0.3) + one_and_many(math.nan, 0.3):
+        for edgedness, among in itertools.product((-0.1, math.nan), (0, 2)):
             with pytest.raises(OutOfRangeError, match="^edgedness"):
-                texture_belief(edgedness, 1.0)
+                feature_supports(measured(1, edgedness, among), DEFAULT_CONFIG)
 
 
 class TestBoundaryBelief:
@@ -214,22 +238,17 @@ class TestBoundaryBelief:
         (0.1, 0.0), (0.0, 0.0),
     ])
     def test_bands(self, support, expected):
-        assert boundary_belief(support) == expected
+        assert supports(*GOOD[:3], support, 1.0 - support)[2] == expected
+        assert supports(*GOOD[:3], 1.0 - support, support)[3] == expected
 
     def test_out_of_range(self):
-        for support in one_and_many(1.2, 0.5) + one_and_many(-0.0001, 0.5):
+        for support, side, among in itertools.product((1.2, -0.0001, math.nan), (3, 4), (0, 2)):
             with pytest.raises(OutOfRangeError, match="^boundary support"):
-                boundary_belief(support)
+                feature_supports(measured(side, support, among), DEFAULT_CONFIG)
 
     @given(st.floats(0, 1))
     def test_value_set(self, support):
-        assert boundary_belief(support) in (0.6, 0.3, 0.1, 0.0)
-
-
-def one_and_many(value, fill):
-    """A value as a number, as a one-element array, and among in-range
-    ``fill`` values in a multi-element array."""
-    return [value, np.array([value]), np.array([fill, fill, value, fill])]
+        assert supports(*GOOD[:3], support, support)[2:] in [(v, v) for v in (0.6, 0.3, 0.1, 0.0)]
 
 
 def with_neighbours(values, lo, hi):
@@ -246,58 +265,63 @@ bands = st.lists(st.tuples(thresholds, masses), max_size=4).map(tuple)
 
 @st.composite
 def supports_cases(draw):
-    """Belief tables (the defaults or drawn), rows of measurements on and
-    beside every threshold of the tables or drawn at random, and a quality
-    weight."""
-    tables = draw(st.just(DEFAULT_TABLES) | st.builds(
-        BeliefTables, elongation_bands=bands, low_edgedness=thresholds,
+    """A config with the default tables and weight or drawn ones, and rows
+    of measurements on and beside every threshold of its tables or drawn
+    at random."""
+    config = draw(st.just(DEFAULT_CONFIG) | st.builds(
+        PipelineConfig, elongation_bands=bands, low_edgedness=thresholds,
         low_edgedness_belief=masses, hv_d_bands=bands,
-        boundary_bands=st.lists(st.tuples(masses, masses), max_size=4).map(tuple)))
+        boundary_bands=st.lists(st.tuples(masses, masses), max_size=4).map(tuple),
+        quality_weight=masses))
 
     def measure(lo, hi, table_bands, extra=()):
         edges = [bound for bound, _ in table_bands] + list(extra) + [lo, hi]
         return st.sampled_from(with_neighbours(edges, lo, hi)) | st.floats(lo, hi)
 
-    row = st.tuples(measure(1.0, 1e3, tables.elongation_bands),
-                    measure(0.0, 10.0, (), [tables.low_edgedness]),
-                    measure(0.0, math.inf, tables.hv_d_bands),
-                    measure(0.0, 1.0, tables.boundary_bands),
-                    measure(0.0, 1.0, tables.boundary_bands))
-    return tables, draw(st.lists(row, min_size=1, max_size=8)), draw(masses)
+    row = st.tuples(measure(1.0, 1e3, config.elongation_bands),
+                    measure(0.0, 10.0, (), [config.low_edgedness]),
+                    measure(0.0, math.inf, config.hv_d_bands),
+                    measure(0.0, 1.0, config.boundary_bands),
+                    measure(0.0, 1.0, config.boundary_bands))
+    return config, draw(st.lists(row, min_size=1, max_size=8))
 
 
 class TestFeatureSupports:
     def test_typical_window(self):
-        assert feature_supports(1.5, 0.3, 8.0, 0.9, 0.8) == (0.5, 0.4, 0.6, 0.6)
+        assert supports(1.5, 0.3, 8.0, 0.9, 0.8) == (0.5, 0.4, 0.6, 0.6)
 
     def test_quality_weight_scales(self):
-        assert feature_supports(1.5, 0.05, 0.0, 0.0, 0.0, quality_weight=0.5) == (
+        assert supports(1.5, 0.05, 0.0, 0.0, 0.0, config=PipelineConfig(quality_weight=0.5)) == (
             0.25, 0.2, 0.0, 0.0)
 
     def test_custom_tables(self):
-        tables = BeliefTables(boundary_bands=((0.5, 0.9),))
-        assert boundary_belief(0.6, tables) == 0.9
-        assert boundary_belief(0.4, tables) == 0.0
+        config = PipelineConfig(boundary_bands=((0.5, 0.9),))
+        assert supports(*GOOD[:3], 0.6, 0.4, config=config)[2:] == (0.9, 0.0)
 
     def test_measurement_validation(self):
-        good = (2.0, 0.0, 1.0, 0.0, 0.0)
-        for field, value, message in ((0, 0.5, "^elongation"), (1, -0.5, "^edgedness"),
-                                      (3, 1.5, "^boundary support"),
-                                      (4, -0.5, "^boundary support")):
-            for bad in one_and_many(value, good[field]):
-                row = [np.full(np.shape(bad), v) for v in good]
-                row[field] = bad
-                with pytest.raises(OutOfRangeError, match=message):
-                    feature_supports(*row)
+        for (index, value, message), among in itertools.product((
+                (0, 0.5, "^elongation"), (1, -0.5, "^edgedness"), (3, 1.5, "^boundary support"),
+                (4, -0.5, "^boundary support")), (0, 1)):
+            with pytest.raises(OutOfRangeError, match=message):
+                feature_supports(measured(index, value, among), DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5,), (5, 2, 1)])
+    def test_measurements_not_five_rows_rejected(self, shape):
+        with pytest.raises(InvalidParamsError, match=r"^measurements of shape .*, not \(5, N\)$"):
+            feature_supports(np.ones(shape), DEFAULT_CONFIG)
+
+    def test_no_candidates(self):
+        assert feature_supports(np.empty((5, 0)), DEFAULT_CONFIG).shape == (4, 0)
 
     @settings(deadline=None)
     @given(supports_cases())
     def test_arrays_equal_scalar_reference(self, case):
         """Each candidate's supports are bit for bit the band-by-band
-        scalar reference's, whether the rows come as arrays or one by one."""
-        tables, rows, weight = case
-        want = np.array([ref_feature_supports(*row, tables, weight) for row in rows])
-        got = feature_supports(*np.array(rows).T, tables, weight)
-        assert np.array(got).T.tobytes() == want.tobytes()
-        one = [feature_supports(*row, tables, weight) for row in rows]
+        scalar reference's, whether the rows come as one array or one by
+        one."""
+        config, rows = case
+        want = np.array([ref_feature_supports(*row, config) for row in rows])
+        got = feature_supports(np.array(rows).T, config)
+        assert got.T.tobytes() == want.tobytes()
+        one = [supports(*row, config=config) for row in rows]
         assert np.array(one, dtype=np.float64).tobytes() == want.tobytes()

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -8,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import FACADE_OVERLAY_SHA256, FACADE_REPORT_SHA256
 from dsvision import pyramid, stages
-from dsvision.assessment import BeliefTables
 from dsvision.errors import (BadDimensionsError, DSVisionError, InvalidParamsError,
-                             OutOfRangeError, ParseError, RectOutOfBoundsError)
+                             OutOfRangeError, ParseError, RectOutOfBoundsError,
+                             UnsupportedFormatError)
 from dsvision.fixtures import synthetic_facade
 from dsvision.pyramid import (
     _COLLINEAR_PAIRS,
@@ -330,6 +332,24 @@ class TestBuildPyramid:
             result = run_pipeline(step_image(side, side // 2, low=-1e300, high=1e300))
             _, magnitudes = reference_micro_edges(result.pyramid.base, 32.0)
             assert np.isfinite(magnitudes).all() and result.micro.count() > 0
+
+    @pytest.mark.parametrize("image", [
+        np.full((16, 16), 1 + 2j), np.full((16, 16), 0j), np.full((16, 16), "7"),
+        np.full((16, 16), 7.0, dtype=object), np.zeros((16, 16), dtype="timedelta64[s]"),
+        np.zeros((16, 16), dtype="datetime64[s]"),
+    ], ids=["complex", "complex-real-valued", "str", "object", "timedelta", "datetime"])
+    def test_pixels_not_real_rejected(self, image):
+        # a complex image used to lose its imaginary part with only a
+        # warning, and a str or object image raised a bare ValueError
+        message = re.escape(f"image pixels of type {image.dtype} are not real numbers")
+        with pytest.raises(UnsupportedFormatError, match=f"^{message}$"):
+            build_pyramid(image)
+        with pytest.raises(UnsupportedFormatError):
+            run_pipeline(image)
+
+    def test_bool_image_reads_as_zeros_and_ones(self):
+        image = np.eye(16, dtype=bool)
+        assert build_pyramid(image).base.tobytes() == np.eye(16).tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, 1e301, -1e301])
     def test_float_out_of_range_pixel_rejected(self, value):
@@ -937,7 +957,7 @@ class TestParseConfig:
         assert config.edge_threshold == 48.0
         assert config.pair_max_sep == 40
         assert config.survivor_threshold == 0.25
-        assert config.tables.boundary_bands == ((0.5, 0.6), (0.2, 0.3))
+        assert config.boundary_bands == ((0.5, 0.6), (0.2, 0.3))
 
     def test_unknown_key(self):
         with pytest.raises(ParseError):
@@ -962,17 +982,15 @@ class TestParseConfig:
         hv_d_bands = 3:0.4,1.5:0.2
         boundary_bands = 0.7:0.6,0.35:0.3,0.1:0.1
         """
-        tables = BeliefTables(((3.5, 0.5), (6.0, 0.3)), 0.15, 0.35, ((3.0, 0.4), (1.5, 0.2)),
-                              ((0.7, 0.6), (0.35, 0.3), (0.1, 0.1)))
-        expected = PipelineConfig(40.0, 1, 3, 3, 40, 0.25, 3, 0.7, 0.4, 3, 0.9, tables)
-        keys = {line.split("=")[0].strip() for line in text.splitlines() if line.strip()}
-        assert keys == ({f.name for f in fields(PipelineConfig)} - {"tables"}
-                        | {f.name for f in fields(BeliefTables)})
+        expected = PipelineConfig(40.0, 1, 3, 3, 40, 0.25, 3, 0.7, 0.4, 3, 0.9,
+                                  ((3.5, 0.5), (6.0, 0.3)), 0.15, 0.35, ((3.0, 0.4), (1.5, 0.2)),
+                                  ((0.7, 0.6), (0.35, 0.3), (0.1, 0.1)))
+        keys = [line.split("=")[0].strip() for line in text.splitlines() if line.strip()]
+        assert keys == [f.name for f in fields(PipelineConfig)]
+        assert len(keys) == 16
         assert parse_config(text) == expected
         for f in fields(PipelineConfig):
             assert getattr(expected, f.name) != getattr(PipelineConfig(), f.name)
-        for f in fields(BeliefTables):
-            assert getattr(tables, f.name) != getattr(BeliefTables(), f.name)
         # each value is read as its field's type, and no other name is a key
         with pytest.raises(ParseError, match="^line 1: bad value '2.5' for short_support$"):
             parse_config("short_support = 2.5")
@@ -1025,16 +1043,56 @@ class TestParseConfig:
             parse_config(text)
 
 
+@pytest.mark.parametrize("key, text, value", [
+    ("low_edgedness", "inf", math.inf),
+    ("low_edgedness", "-inf", -math.inf),
+    ("hv_d_bands", "inf:0.4", ((math.inf, 0.4),)),
+    ("hv_d_bands", "-inf:0.2,inf:0.4", ((-math.inf, 0.2), (math.inf, 0.4))),
+    ("elongation_bands", "-inf:0.5", ((-math.inf, 0.5),)),
+    ("elongation_bands", "inf:0.3", ((math.inf, 0.3),)),
+    ("boundary_bands", "inf:0.6,-inf:0.1", ((math.inf, 0.6), (-math.inf, 0.1))),
+], ids=["low-inf", "low-minus-inf", "hv-d-inf", "hv-d-both", "elongation-minus-inf",
+        "elongation-inf", "boundary-both"])
+def test_infinite_thresholds_accepted(key, text, value):
+    """A table threshold may be infinite, always or never met; the parsed
+    config is the one built in Python and gives the same report."""
+    parsed = parse_config(f"{key} = {text}\n")
+    config = PipelineConfig(**{key: value})
+    assert parsed == config
+    image = synthetic_facade().image
+    result = run_pipeline(image, config)
+    assert (format_report(report_from_result(run_pipeline(image, parsed)))
+            == format_report(report_from_result(result)))
+    if key == "low_edgedness":   # every candidate's texture reads as sparse, or none does
+        marked = PipelineConfig(low_edgedness=value, low_edgedness_belief=0.35)
+        sparse = [c.supports[1] == 0.35 for c in run_pipeline(image, marked).candidates]
+        assert sparse == [value > 0] * len(result.candidates) and sparse
+
+
+@pytest.mark.parametrize("key, text, value", [
+    ("low_edgedness", "nan", math.nan),
+    ("hv_d_bands", "nan:0.4", ((math.nan, 0.4),)),
+    ("elongation_bands", "3:0.5,nan:0.3", ((3.0, 0.5), (math.nan, 0.3))),
+    ("boundary_bands", "nan:0.6", ((math.nan, 0.6),)),
+], ids=["low", "hv-d", "elongation-second", "boundary"])
+def test_nan_thresholds_rejected(key, text, value):
+    message = "^belief table thresholds must not be NaN$"
+    with pytest.raises(InvalidParamsError, match=message):
+        parse_config(f"{key} = {text}\n")
+    with pytest.raises(InvalidParamsError, match=message):
+        PipelineConfig(**{key: value})
+
+
 @pytest.mark.parametrize("build, key", [
     (lambda: PipelineConfig(short_support=2.5), "short_support"),
     (lambda: PipelineConfig(short_support=True), "short_support"),
     (lambda: PipelineConfig(quality_weight=True), "quality_weight"),
-    (lambda: BeliefTables(elongation_bands=((1.0,),)), "elongation_bands"),
-    (lambda: BeliefTables(elongation_bands=(("x", 0.5),)), "elongation_bands"),
-    (lambda: BeliefTables(low_edgedness="0.1"), "low_edgedness"),
-    (lambda: PipelineConfig(tables={"low_edgedness": 0.2}), "tables"),
+    (lambda: PipelineConfig(elongation_bands=((1.0,),)), "elongation_bands"),
+    (lambda: PipelineConfig(elongation_bands=(("x", 0.5),)), "elongation_bands"),
+    (lambda: PipelineConfig(low_edgedness="0.1"), "low_edgedness"),
+    (lambda: PipelineConfig(hv_d_bands={"low_edgedness": 0.2}), "hv_d_bands"),
 ], ids=["int-field-fraction", "int-field-bool", "float-field-bool", "band-not-a-pair",
-        "band-not-numbers", "float-field-text", "tables-not-tables"])
+        "band-not-numbers", "float-field-text", "bands-not-a-tuple"])
 def test_value_unlike_its_default_rejected(build, key):
     # a config built in Python, not parsed, is held to its fields' kinds:
     # short_support = 2.5 used to leave 0 candidates on the bundled facade
@@ -1049,8 +1107,7 @@ def config_text(kwargs) -> str:
                    for key, value in kwargs.items())
 
 
-_DEFAULTS = {f.name: f.default for cls in (PipelineConfig, BeliefTables) for f in fields(cls)
-             if f.name != "tables"}
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 _UNLIKE = st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
                     st.sampled_from([2.5, ((1.0,),), (("x", 0.5),), ((0.5, True),)]))
 
@@ -1073,11 +1130,8 @@ def like_or_unlike(default):
 def test_python_config_is_its_parsed_text(kwargs):
     """A config built in Python raises InvalidParamsError, or equals the
     config parsed from its text and gives the same report."""
-    table_keys = {f.name for f in fields(BeliefTables)}
     try:
-        config = PipelineConfig(
-            tables=BeliefTables(**{k: v for k, v in kwargs.items() if k in table_keys}),
-            **{k: v for k, v in kwargs.items() if k not in table_keys})
+        config = PipelineConfig(**kwargs)
     except InvalidParamsError:
         return
     parsed = parse_config(config_text(kwargs))

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FACADE_REPORT_SHA256, random_knowledge
 from dsvision import evidence, pyramid, stages
-from dsvision.assessment import DEFAULT_TABLES, feature_supports
-from dsvision.errors import NormalizationError, TotalConflictError, UnknownAtomError
+from dsvision.assessment import feature_supports
+from dsvision.errors import (InvalidParamsError, NormalizationError, TotalConflictError,
+                             UnknownAtomError)
 from dsvision.evidence import Clause, combine_all, make_frame, simple_support
 from dsvision.fixtures import synthetic_facade
 from dsvision.knowledge import KnowledgeSource, verify
@@ -29,8 +30,9 @@ from dsvision.pyramid import (DIAGONAL, HORIZONTAL_GRADIENT, NO_EDGE, VERTICAL_G
                               CandidateArea, EdgeField, Rect, build_pyramid, measure_candidates,
                               run_pipeline)
 from dsvision.report import format_report, report_from_result
-from dsvision.stages import (FEATURE_ATOMS, SIBLING_ATOMS, sibling_knowledge, stage_a_belief,
-                             stage_b_belief, stage_c_belief, stage_c_conflict, window_knowledge)
+from dsvision.stages import (FEATURE_ATOMS, FEATURE_FRAME, SIBLING_ATOMS, sibling_knowledge,
+                             stage_a_belief, stage_b_belief, stage_c_belief, stage_c_conflict,
+                             window_knowledge)
 from test_oracle import knowledge_to_oracle
 
 # --- scalar references ---
@@ -166,11 +168,11 @@ class TestBatchedStages:
     def test_default_table_combinations(self):
         """Every combination of default-table supports, then every stage-A
         result with siblings in {0, 0.6} and non-window in {0, 0.5}."""
-        tables = DEFAULT_TABLES
-        texture = sorted({value for _, value in tables.hv_d_bands}
-                         | {tables.low_edgedness_belief, 0.0})
-        boundary = table_values(tables.boundary_bands)
-        rows_a = list(itertools.product(table_values(tables.elongation_bands), texture,
+        config = pyramid.DEFAULT_CONFIG
+        texture = sorted({value for _, value in config.hv_d_bands}
+                         | {config.low_edgedness_belief, 0.0})
+        boundary = table_values(config.boundary_bands)
+        rows_a = list(itertools.product(table_values(config.elongation_bands), texture,
                                         boundary, boundary))
         assert len(rows_a) == 144
         bel_a = stage_a_belief(*np.array(rows_a).T).tolist()
@@ -403,6 +405,38 @@ class TestBatchedMeasurements:
         assert got.T.tolist() == [ref_measure_features(result.pyramid, c.rect, result.micro)
                                   for c in result.candidates]
         # stage A stores each candidate's supports as a tuple of floats
-        supports = list(zip(*(s.tolist() for s in feature_supports(*got))))
+        supports = list(zip(*feature_supports(got, pyramid.DEFAULT_CONFIG).tolist()))
         assert [c.supports for c in result.candidates] == supports
         assert all(type(s) is float for c in result.candidates for s in c.supports)
+
+
+THETA = Clause.theta(FEATURE_FRAME)
+_PAIR = np.array([0.5, 0.6])
+_TRIPLE = np.array([0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: stage_a_belief(_PAIR, _TRIPLE, 0.1, 0.1), InvalidParamsError),
+    (lambda: stage_a_belief("x", 0.1, 0.1, 0.1), InvalidParamsError),
+    (lambda: stage_b_belief(0.5, _PAIR, _TRIPLE), InvalidParamsError),
+    (lambda: stage_b_belief(0.5, [0.1, [0.2]], 0.1), InvalidParamsError),
+    (lambda: stage_c_belief(_PAIR, 0.1, _TRIPLE, 0.0), InvalidParamsError),
+    (lambda: stage_c_belief(0.5, {}, 0.1, 0.1), InvalidParamsError),
+    (lambda: stage_c_conflict(0.5, 0.1, _PAIR, _TRIPLE), InvalidParamsError),
+    (lambda: stage_c_conflict(0.5, 0.1, 0.1, "x"), InvalidParamsError),
+    (lambda: evidence.MassFunction(FEATURE_FRAME, {THETA: "1"}), NormalizationError),
+    (lambda: evidence.MassFunction(FEATURE_FRAME, {THETA: None}), NormalizationError),
+    (lambda: evidence.MassFunction(FEATURE_FRAME, {THETA: np.ones(2)}), NormalizationError),
+    (lambda: KnowledgeSource.build("h", FEATURE_FRAME, [("elong", "x")]), NormalizationError),
+    (lambda: KnowledgeSource.build("h", FEATURE_FRAME, [("elong", 0.5), ("THETA", "x")]),
+     NormalizationError),
+    (lambda: KnowledgeSource("h", FEATURE_FRAME, (), None), NormalizationError),
+    (lambda: KnowledgeSource.build("h", FEATURE_FRAME, [("elong", np.ones(2))]),
+     NormalizationError),
+], ids=["a-shapes", "a-text", "b-shapes", "b-ragged", "c-shapes", "c-dict",
+        "conflict-shapes", "conflict-text", "mass-text", "mass-none", "mass-array",
+        "knowledge-text", "knowledge-theta-text", "knowledge-theta-none", "knowledge-array"])
+def test_inputs_not_numbers_raise_dsvision_errors(call, error):
+    # each used to escape as numpy's ValueError or a bare TypeError
+    with pytest.raises(error, match="(not numbers of one shape|is not a number)"):
+        call()

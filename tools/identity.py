@@ -19,9 +19,10 @@ process writes the ``facades``, ``noise`` and ``evidence`` inputs of seeds
 once the output of ``dsvision areas`` and ``dsvision shutter``; the exit
 status, stderr and output bytes of ``dsvision combine`` and ``dsvision
 verify`` on each of ``MASS_TEXTS`` and ``KNOWLEDGE_TEXTS``, which are
-malformed or repeat a focal; and for each seed-1 ``facades`` input the
-candidates and the ``dsvision pipeline --knowledge W --knowledge S`` bytes
-under the non-default sources ``SOURCES``.  Floats
+malformed or repeat a focal, and of ``dsvision pipeline --config`` on the
+bundled facade under each of ``CONFIG_TEXTS``; and for each seed-1
+``facades`` input the candidates and the ``dsvision pipeline --knowledge W
+--knowledge S`` bytes under the non-default sources ``SOURCES``.  Floats
 are hashed by ``repr``, which tells float64 values apart (NaN aside).  Every
 checkout is compared with the first: the first output that differs is
 printed and the exit status is 1.  With every output equal it prints a
@@ -96,6 +97,28 @@ KNOWLEDGE_TEXTS = [
     "hypothesis h\nframe a b c\nfocal THETA 1.5\nfocal a -0.5\n",
     "hypothesis h\nframe a b c\nfocal THETA 0.5\nfocal a 0.5\nprior 1\n",
     "hypothesis h\nframe a b\nfocal a 0.5\nfocal THETA 0.5\n",
+]
+
+# config texts for ``pipeline --config`` on the bundled facade, each with at
+# most one fault: the 19 rejected lines of the tests' ``test_invalid_values``,
+# a value of the wrong kind for each value type, a repeated and an unknown key,
+# then values at the edges, infinite table thresholds among them
+CONFIG_TEXTS = [
+    "edge_threshold = nan\n", "survivor_threshold = inf\n", "quality_weight = -inf\n",
+    "pair_min_sep = 50\n", "short_support = 0\n", "long_support = -1\n",
+    "pair_min_sep = -4\n", "pair_min_sep = 0\n", "sibling_tolerance = -1\n",
+    "cluster_distance = -2\n", "boundary_bands = 0.75:1.5\n", "elongation_bands = 3:-0.1\n",
+    "hv_d_bands = 4:nan\n", "boundary_bands = nan:0.6\n", "low_edgedness = nan\n",
+    "low_edgedness_belief = 2\n", "quality_weight = 1.5\n", "sibling_support = -0.1\n",
+    "non_window_support = 2\n",
+    "short_support = 2.5\n", "edge_threshold = many\n", "boundary_bands = 0.5\n",
+    "hv_d_bands = 4:0.4:1\n", "elongation_bands = a:0.5\n", "low_edgedness = 1e400x\n",
+    "pair_max_sep = 40\n# again\npair_max_sep = 40\n", "tables = 1\n", "edge_threshold\n",
+    "low_edgedness_belief = inf\n", "low_edgedness_belief = nan\n", "sibling_support = inf\n",
+    "pair_min_sep = 10\npair_max_sep = 9\n", "elongation_bands = 3:inf\n",
+    "low_edgedness = inf\n", "low_edgedness = -inf\n", "hv_d_bands = inf:0.4\n",
+    "elongation_bands = -inf:0.5\n", "boundary_bands = -inf:0.1,inf:0.6\n",
+    "low_edgedness_belief = 1\nquality_weight = 0\n", "pair_min_sep = 1\npair_max_sep = 1\n",
 ]
 
 # non-default window and sibling sources, with repeated focals and THETA
@@ -194,6 +217,8 @@ with tempfile.TemporaryDirectory() as work:
                         ["pipeline", inp.path, "--knowledge", sources[0], "--knowledge",
                          sources[1], "--out", tsv, "--overlay", ppm], tsv, ppm)
                 out[f"{workload} seed {seed} {os.path.basename(inp.path)}"] = row
+                if inp.bundled:
+                    facade = inp.path
         for k, inp in enumerate(inputs.make_evidence(seed, os.path.join(work, "evidence",
                                                                          str(seed)))):
             out[f"evidence seed {seed} input {k}"] = {
@@ -215,6 +240,10 @@ with tempfile.TemporaryDirectory() as work:
         out[f"knowledge text {k}"] = {"verify": outcome(
             ["verify", "--evidence", masses[0], "--knowledge", path, "--out", tsv], tsv,
             stderr=True)}
+    for k, text in enumerate(texts["config texts"]):
+        path = write(os.path.join(work, f"text{k}.cfg"), text)
+        out[f"config text {k}"] = {"pipeline": outcome(
+            ["pipeline", facade, "--config", path, "--out", tsv], tsv, stderr=True)}
 print(json.dumps(out))
 """
 
@@ -224,7 +253,7 @@ def outputs(root: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"),
                PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     texts = {"configs": CONFIGS, "mass": MASS_TEXTS, "knowledge": KNOWLEDGE_TEXTS,
-             "sources": SOURCES}
+             "sources": SOURCES, "config texts": CONFIG_TEXTS}
     proc = subprocess.run([sys.executable, "-c", PROBE, PERFBENCH, json.dumps(texts),
                            *map(str, SEEDS)],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
