@@ -16,6 +16,14 @@ if TYPE_CHECKING:
     from .pyramid import PipelineConfig
 
 
+def real_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as an array in their own dtype if bool, integer or float, else ``error``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise error(f"{what} of type {array.dtype} are not real numbers")
+    return array
+
+
 def _bands(values: np.ndarray, bands, meets) -> np.ndarray:
     """The value of the first band whose threshold ``meets`` accepts, 0
     where none does.  The bands are applied last first, so that an earlier
@@ -34,7 +42,7 @@ def feature_supports(measurements: np.ndarray, config: PipelineConfig) -> np.nda
     window reading.  An elongation below 1, a negative edgedness, a side
     coverage outside [0, 1], or a NaN in any of them raises OutOfRangeError.
     """
-    measurements = np.asarray(measurements, dtype=np.float64)
+    measurements = real_array(measurements, InvalidParamsError, "measurements").astype(np.float64)
     if measurements.ndim != 2 or len(measurements) != 5:
         raise InvalidParamsError(f"measurements of shape {measurements.shape}, not (5, N)")
     elongation, edgedness, hv_d = measurements[:3]

@@ -9,6 +9,7 @@ test a bitwise containment check.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 MAX_ATOMS = 16
+_POS = (1 << MAX_ATOMS) - 1   # the pos half of a cube's ``pos | neg << MAX_ATOMS``
 MASS_SUM_TOL = 1e-9
 TOTAL_CONFLICT_TOL = 1e-12
 
@@ -82,6 +84,13 @@ def make_frame(atom_names: Iterable[str]) -> Frame:
     return Frame(atom_names)
 
 
+@functools.lru_cache(maxsize=64)
+def _literal_bits(frame: Frame) -> dict[str, int]:
+    """Each literal, ``a`` or ``!a``, to its bit in ``pos | neg << MAX_ATOMS``; read-only."""
+    bits = {atom: 1 << i for i, atom in enumerate(frame)}
+    return bits | {"!" + atom: bit << MAX_ATOMS for atom, bit in bits.items()}
+
+
 class Literal(NamedTuple):
     atom: str
     positive: bool = True
@@ -114,19 +123,18 @@ class Clause(namedtuple("Clause", "frame kind pos neg")):
     @staticmethod
     def conjunction(frame: Frame, literals: Iterable[str]) -> "Clause":
         """The conjunction of atoms, each negated by a ``!`` prefix."""
-        pos = neg = 0
-        for lit in literals:
-            if lit.startswith("!"):
-                neg |= 1 << frame.index(lit[1:])
-            else:
-                pos |= 1 << frame.index(lit)
-        return Clause(frame, CONJUNCTION, pos, neg)
+        bits = _literal_bits(frame)
+        cube = 0
+        for lit in literals:   # Frame.index raises for a literal not in bits
+            cube |= bits.get(lit) or 1 << frame.index(lit.removeprefix("!"))
+        return Clause(frame, CONJUNCTION, cube & _POS, cube >> MAX_ATOMS)
 
     @staticmethod
     def disjunction(frame: Frame, atoms: Iterable[str]) -> "Clause":
+        bits = _literal_bits(frame)
         pos = 0
-        for atom in atoms:
-            pos |= 1 << frame.index(atom)
+        for atom in atoms:   # the mask drops the bit of a ``!a``, so Frame.index raises
+            pos |= bits.get(atom, 0) & _POS or 1 << frame.index(atom)
         return Clause(frame, DISJUNCTION, pos, 0)
 
     @staticmethod
@@ -142,14 +150,14 @@ class Clause(namedtuple("Clause", "frame kind pos neg")):
             raise ParseError("empty clause")
         if text == THETA_TOKEN:
             return Clause.theta(frame)
-        if "&" in text and "|" in text:
-            raise ParseError(f"clause {text!r} mixes conjunction and disjunction")
         if "|" in text:
+            if "&" in text:
+                raise ParseError(f"clause {text!r} mixes conjunction and disjunction")
             parts = [p.strip() for p in text.split("|")]
             if any(p.startswith("!") for p in parts):
                 raise ParseError(f"negated atom in disjunction {text!r}")
             return Clause.disjunction(frame, parts)
-        return Clause.conjunction(frame, (p.strip() for p in text.split("&")))
+        return Clause.conjunction(frame, [p.strip() for p in text.split("&")])
 
     @property
     def is_theta(self) -> bool:
@@ -168,10 +176,13 @@ class Clause(namedtuple("Clause", "frame kind pos neg")):
                 yield Literal(atom, positive=False)
 
     def __str__(self) -> str:
-        if self.is_theta:
-            return THETA_TOKEN
-        joiner = "&" if self.kind == CONJUNCTION else "|"
-        return joiner.join(str(lit) for lit in self.literals())
+        frame, kind, pos, neg = self
+        parts, bit, both = [], 1, pos | neg
+        for atom in frame:
+            if both & bit:
+                parts.append(atom if pos & bit else "!" + atom)
+            bit <<= 1
+        return "|".join(parts) if kind == DISJUNCTION else "&".join(parts) or THETA_TOKEN
 
 
 def _check_same_frame(a, b) -> None:
@@ -270,7 +281,7 @@ class CombineOutcome(NamedTuple):
 
 def sorted_focals(m: MassFunction) -> list[tuple[Clause, float]]:
     """Focals in canonical order: theta last, otherwise by bitmask."""
-    return sorted(m.items(), key=lambda cm: (cm[0].is_theta, cm[0].pos, cm[0].neg))
+    return sorted(m.items(), key=lambda cm: (not cm[0].pos | cm[0].neg, cm[0].pos, cm[0].neg))
 
 
 def simple_support(frame: Frame, focal: Clause, s: float) -> MassFunction:
@@ -402,6 +413,5 @@ def parse_mass_text(text: str) -> MassFunction:
 
 def format_mass_text(m: MassFunction) -> str:
     lines = ["frame " + " ".join(m.frame.atoms)]
-    for clause, mass in sorted_focals(m):
-        lines.append(f"focal {clause} {mass:.12g}")
+    lines += [f"focal {clause} {mass:.12g}" for clause, mass in sorted_focals(m)]
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assessment import feature_supports
+from .assessment import feature_supports, real_array
 from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
                      RectOutOfBoundsError, UnsupportedFormatError)
 from .evidence import text_lines
@@ -196,9 +196,7 @@ def build_pyramid(image: np.ndarray) -> Pyramid:
     A side above 128 is first reduced to the 128x128 base of level 7 by
     block means; a smaller side is its own base.
     """
-    image = np.asarray(image)
-    if image.dtype.kind not in "biuf":   # bool, integer or float
-        raise UnsupportedFormatError(f"image pixels of type {image.dtype} are not real numbers")
+    image = real_array(image, UnsupportedFormatError, "image pixels")
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise BadDimensionsError(f"image must be square 2D, got {image.shape}")
     side = image.shape[0]
@@ -286,7 +284,8 @@ def aggregate_long_edges(p: Pyramid, short: np.ndarray,
     present = np.zeros((n6, n6, 8), dtype=bool)
     present[short[:, 0], short[:, 1], short[:, 2]] = True
     blocks = present.reshape(n5, 2, n5, 2, 8)   # (row5, dr, col5, dc, direction)
-    counts = blocks.sum(axis=(1, 3))
+    rows = blocks.view(np.uint8)[:, 0] + blocks.view(np.uint8)[:, 1]   # summed over dr
+    counts = rows[:, :, 0] + rows[:, :, 1]
     collinear = np.zeros((n5, n5, 8), dtype=bool)
     for d, pairs in _COLLINEAR_PAIRS.items():
         for (r0, c0), (r1, c1) in pairs:

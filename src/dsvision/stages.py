@@ -25,6 +25,7 @@ import functools
 
 import numpy as np
 
+from .assessment import real_array
 from .errors import InvalidParamsError
 from .evidence import Clause, combine_all, make_frame, simple_support
 from .knowledge import KnowledgeSource, verify
@@ -88,11 +89,11 @@ def _evidence(ks: KnowledgeSource, atoms: tuple[str, ...], supports, column: int
     """Item ``column`` (0 for Bel, 1 for K) of each row's outcome: a float
     for a call on numbers, else an array in the supports' broadcast shape."""
     try:
-        arrays = np.broadcast_arrays(*(np.asarray(s, dtype=np.float64) for s in supports))
+        arrays = np.broadcast_arrays(*(real_array(s, TypeError, "values") for s in supports))
     except (TypeError, ValueError) as exc:
         raise InvalidParamsError(f"supports are not numbers of one shape: {exc}") from None
     outcome = _stage(ks, atoms)
-    rows = np.stack(arrays, axis=-1).reshape(-1, len(arrays)).tolist()
+    rows = np.stack(arrays, axis=-1, dtype=np.float64).reshape(-1, len(arrays)).tolist()
     values = [outcome(*row)[column] for row in rows]
     shape = arrays[0].shape
     return values[0] if shape == () else np.array(values, dtype=np.float64).reshape(shape)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,6 +313,16 @@ class TestFeatureSupports:
 
     def test_no_candidates(self):
         assert feature_supports(np.empty((5, 0)), DEFAULT_CONFIG).shape == (4, 0)
+
+    @pytest.mark.parametrize("rows", [np.full((5, 2), 2 + 1j), np.full((5, 2), 2 + 0j),
+                                      np.full((5, 2), "2"), np.full((5, 2), 2.0, dtype=object)],
+                             ids=["complex", "complex-real-valued", "str", "object"])
+    def test_measurements_not_real_rejected(self, rows):
+        # a complex measurement used to lose its imaginary part with only a
+        # warning, and a str one raised a bare ValueError
+        message = re.escape(f"measurements of type {rows.dtype} are not real numbers")
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            feature_supports(rows, DEFAULT_CONFIG)
 
     @settings(deadline=None)
     @given(supports_cases())

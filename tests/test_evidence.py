@@ -16,9 +16,13 @@ from dsvision.errors import (
     ParseError,
     TooManyAtomsError,
     TotalConflictError,
+    UnknownAtomError,
 )
 from dsvision.evidence import (
+    CONJUNCTION,
+    DISJUNCTION,
     MASS_SUM_TOL,
+    MAX_ATOMS,
     Clause,
     MassFunction,
     belief,
@@ -118,6 +122,71 @@ class TestClause:
         frame = make_frame(["a", "b"])
         with pytest.raises(ParseError):
             Clause.parse(frame, "!a|b")
+
+    def test_parse_strips_spaces_around_literals(self):
+        frame = make_frame(["a", "b"])
+        assert Clause.parse(frame, " a & !b ") == conj(frame, "a", "!b")
+        assert Clause.parse(frame, "a | b") == Clause.disjunction(frame, ["a", "b"])
+
+    @pytest.mark.parametrize("text, atom", [
+        ("!", ""), ("!!a", "!a"), ("a&", ""), ("a&z", "z"), ("a|z", "z"), ("a|", ""),
+    ], ids=["lone-not", "double-not", "trailing-and", "unknown", "unknown-in-or",
+            "trailing-or"])
+    def test_parse_unknown_atom_message(self, text, atom):
+        with pytest.raises(UnknownAtomError) as info:
+            Clause.parse(make_frame(["a", "b"]), text)
+        assert str(info.value) == f"atom {atom!r} not in frame ['a', 'b']"
+
+
+frames = st.lists(st.text("abxyz-_0", min_size=1, max_size=3), min_size=1,
+                  max_size=MAX_ATOMS, unique=True).map(make_frame)
+
+
+@st.composite
+def clauses(draw, frame=None, kinds=(CONJUNCTION, DISJUNCTION)):
+    """A clause over ``frame``, or over a frame of 1-16 drawn atom names: a
+    consistent cube, theta among them, or a positive disjunction."""
+    frame = draw(frames) if frame is None else frame
+    full = (1 << len(frame)) - 1
+    if draw(st.sampled_from(kinds)) == DISJUNCTION:
+        return Clause(frame, DISJUNCTION, draw(st.integers(1, full)), 0)
+    pos = draw(st.integers(0, full))
+    return Clause(frame, CONJUNCTION, pos, draw(st.integers(0, full)) & ~pos)
+
+
+def reference_text(c: Clause) -> str:
+    """The text form built from the clause's literals."""
+    if c.kind == CONJUNCTION and not c.pos | c.neg:
+        return "THETA"
+    return ("&" if c.kind == CONJUNCTION else "|").join(map(str, c.literals()))
+
+
+class TestClauseText:
+    @settings(max_examples=300, deadline=None)
+    @given(clauses())
+    def test_str_equals_literal_reference(self, c):
+        assert str(c) == reference_text(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clauses())
+    def test_parse_inverts_str(self, c):
+        # a one-atom disjunction prints as that atom, which reads back as the
+        # one-atom cube of the same worlds
+        if c.kind == DISJUNCTION and not c.pos & (c.pos - 1):
+            c = Clause(c.frame, CONJUNCTION, c.pos, 0)
+        assert Clause.parse(c.frame, str(c)) == c
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mass_text_roundtrips(self, data):
+        # masses in 64ths print exactly at 12 digits and sum to exactly 1
+        frame = data.draw(frames)
+        cubes = clauses(frame, (CONJUNCTION,)).filter(lambda c: c.pos | c.neg)
+        weights = data.draw(st.dictionaries(cubes, st.integers(1, 8), max_size=7))
+        focals = {c: w / 64 for c, w in weights.items()}
+        focals[Clause.theta(frame)] = (64 - sum(weights.values())) / 64
+        m = MassFunction(frame, focals)
+        assert parse_mass_text(format_mass_text(m)) == m
 
 
 _AB = make_frame(["a", "b"])

@@ -418,12 +418,14 @@ _TRIPLE = np.array([0.1, 0.2, 0.3])
 @pytest.mark.parametrize("call, error", [
     (lambda: stage_a_belief(_PAIR, _TRIPLE, 0.1, 0.1), InvalidParamsError),
     (lambda: stage_a_belief("x", 0.1, 0.1, 0.1), InvalidParamsError),
+    (lambda: stage_a_belief(np.array([0.5 + 3j]), 0.1, 0.1, 0.1), InvalidParamsError),
     (lambda: stage_b_belief(0.5, _PAIR, _TRIPLE), InvalidParamsError),
     (lambda: stage_b_belief(0.5, [0.1, [0.2]], 0.1), InvalidParamsError),
     (lambda: stage_c_belief(_PAIR, 0.1, _TRIPLE, 0.0), InvalidParamsError),
     (lambda: stage_c_belief(0.5, {}, 0.1, 0.1), InvalidParamsError),
     (lambda: stage_c_conflict(0.5, 0.1, _PAIR, _TRIPLE), InvalidParamsError),
     (lambda: stage_c_conflict(0.5, 0.1, 0.1, "x"), InvalidParamsError),
+    (lambda: stage_c_conflict(0.5, 0.1, 0.1, np.array(0.2 + 0j)), InvalidParamsError),
     (lambda: evidence.MassFunction(FEATURE_FRAME, {THETA: "1"}), NormalizationError),
     (lambda: evidence.MassFunction(FEATURE_FRAME, {THETA: None}), NormalizationError),
     (lambda: evidence.MassFunction(FEATURE_FRAME, {THETA: np.ones(2)}), NormalizationError),
@@ -433,10 +435,12 @@ _TRIPLE = np.array([0.1, 0.2, 0.3])
     (lambda: KnowledgeSource("h", FEATURE_FRAME, (), None), NormalizationError),
     (lambda: KnowledgeSource.build("h", FEATURE_FRAME, [("elong", np.ones(2))]),
      NormalizationError),
-], ids=["a-shapes", "a-text", "b-shapes", "b-ragged", "c-shapes", "c-dict",
-        "conflict-shapes", "conflict-text", "mass-text", "mass-none", "mass-array",
-        "knowledge-text", "knowledge-theta-text", "knowledge-theta-none", "knowledge-array"])
+], ids=["a-shapes", "a-text", "a-complex", "b-shapes", "b-ragged", "c-shapes",
+        "c-dict", "conflict-shapes", "conflict-text", "conflict-complex", "mass-text",
+        "mass-none", "mass-array", "knowledge-text", "knowledge-theta-text",
+        "knowledge-theta-none", "knowledge-array"])
 def test_inputs_not_numbers_raise_dsvision_errors(call, error):
-    # each used to escape as numpy's ValueError or a bare TypeError
+    # each used to escape as numpy's ValueError or a bare TypeError, and a
+    # complex support was cast to its real part with only a warning
     with pytest.raises(error, match="(not numbers of one shape|is not a number)"):
         call()

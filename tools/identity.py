@@ -53,7 +53,9 @@ CONFIGS = {
 }
 
 # mass texts for ``combine``, and as evidence for ``verify`` against
-# KNOWLEDGE_TEXTS[0]; all but the first two are rejected
+# KNOWLEDGE_TEXTS[0]; all but the first two and ``a&a`` are rejected; the
+# last six probe the clause reader, though ``a & !b`` is split into too many
+# fields before it gets there
 MASS_TEXTS = [
     "frame a b c\nfocal a&b 0.2\nfocal b&a 0.1\nfocal a 0.3\nfocal a 0.1\n"
     "focal THETA 0.2\nfocal THETA 0.1\n",
@@ -72,10 +74,16 @@ MASS_TEXTS = [
     "frame a\nfocal a nan\nfocal THETA 1\n",
     "frame a b\nfocal a&!a 1\n",
     "bogus line\n",
+    "frame a b c\nfocal a & !b 0.5\nfocal THETA 0.5\n",
+    "frame a b c\nfocal ! 0.5\nfocal THETA 0.5\n",
+    "frame a b c\nfocal !!a 0.5\nfocal THETA 0.5\n",
+    "frame a b c\nfocal a& 0.5\nfocal THETA 0.5\n",
+    "frame a b c\nfocal a&a 0.5\nfocal THETA 0.5\n",
+    "frame a b c\nfocal a|z 0.5\nfocal THETA 0.5\n",
 ]
 
 # knowledge texts for ``verify`` of MASS_TEXTS[0]; all but the first four
-# are rejected
+# and ``a|a`` are rejected; the last seven probe the clause reader
 KNOWLEDGE_TEXTS = [
     "hypothesis h\nframe a b c\nfocal a 0.3\nfocal b|c 0.3\nfocal THETA 0.4\n",
     "hypothesis h\nframe a b c\nfocal a&b 0.1\nfocal b&a 0.2\nfocal c 0.3\n"
@@ -97,6 +105,13 @@ KNOWLEDGE_TEXTS = [
     "hypothesis h\nframe a b c\nfocal THETA 1.5\nfocal a -0.5\n",
     "hypothesis h\nframe a b c\nfocal THETA 0.5\nfocal a 0.5\nprior 1\n",
     "hypothesis h\nframe a b\nfocal a 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal a & !b 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal ! 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal !!a 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal a& 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal a|a 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal a|z 0.5\nfocal THETA 0.5\n",
+    "hypothesis h\nframe a b c\nfocal a|!b 0.5\nfocal THETA 0.5\n",
 ]
 
 # config texts for ``pipeline --config`` on the bundled facade, each with at
