@@ -81,9 +81,6 @@ def cmd_verify(args) -> int:
 def cmd_pipeline(args) -> int:
     image = _cli.read_pgm(args.image)
     config = _cli.parse_config(_read(args.config)) if args.config else _cli.DEFAULT_CONFIG
-    if args.threshold is not None:
-        from dataclasses import replace  # the pipeline loads it anyway
-        config = replace(config, survivor_threshold=args.threshold)
     paths = args.knowledge or []
     if len(paths) > 2:
         raise DSVisionError(f"{len(paths)} --knowledge files given; at most two "
@@ -141,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--knowledge", action="append",
                    help="up to two knowledge files in stage order (window, then sibling)")
-    p.add_argument("--threshold", type=float,
-                   help="override the survivor threshold")
     p.add_argument("--out")
     p.add_argument("--overlay")
     p.set_defaults(func=cmd_pipeline)

@@ -51,7 +51,7 @@ class NegativeLiteralInKnowledgeError(DSVisionError):
     pass
 
 
-# --- feature assessment ---
+# --- parameters and measurements ---
 
 class InvalidParamsError(DSVisionError):
     pass

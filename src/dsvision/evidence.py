@@ -286,8 +286,11 @@ def sorted_focals(m: MassFunction) -> list[tuple[Clause, float]]:
 
 def simple_support(frame: Frame, focal: Clause, s: float) -> MassFunction:
     """Mass ``s`` on one focal, the remainder of the unit mass on theta."""
-    if not 0.0 <= s <= 1.0:
-        raise NormalizationError(f"support {s} outside [0, 1]")
+    try:
+        if not 0.0 <= s <= 1.0:
+            raise NormalizationError(f"support {s} outside [0, 1]")
+    except (TypeError, ValueError):
+        raise NormalizationError(f"support {s!r} is not a number") from None
     if focal.frame != frame:
         raise FrameMismatchError("focal clause belongs to another frame")
     focals: dict[Clause, float] = {Clause.theta(frame): 1.0 - s}

@@ -18,13 +18,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assessment import feature_supports, real_array
 from .errors import (BadDimensionsError, InvalidParamsError, OutOfRangeError, ParseError,
                      RectOutOfBoundsError, UnsupportedFormatError)
 from .evidence import text_lines
 from .knowledge import KnowledgeSource
-from .stages import (sibling_knowledge, stage_a_belief, stage_b_belief, stage_c_belief,
-                     stage_c_conflict, window_knowledge)
+from .stages import real_array, stage_a_belief, stage_b_belief, stage_c_belief, stage_c_conflict
 
 # direction convention: gradient angle quantized to multiples of 45 degrees;
 # d and d+4 are the same orientation with opposite contrast polarity
@@ -432,6 +430,19 @@ def _rects(cands: list[CandidateArea]) -> np.ndarray:
     return np.array(rects, dtype=np.intp).reshape(-1, 4).T
 
 
+def _check_rects(rects, *per_rect) -> np.ndarray:
+    """``rects`` as (4, N) intp columns of (top, left, height, width), each
+    of ``per_rect`` holding N values; else InvalidParamsError."""
+    rects = np.asarray(rects)
+    if rects.ndim != 2 or len(rects) != 4 or rects.dtype.kind not in "iu":
+        raise InvalidParamsError(f"rects of type {rects.dtype} and shape {rects.shape} "
+                                 "are not a (4, N) integer array")
+    for values in per_rect:
+        if np.shape(values) != rects.shape[1:]:
+            raise InvalidParamsError(f"{np.shape(values)} values for {rects.shape[1]} rects")
+    return rects.astype(np.intp, copy=False)
+
+
 def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.ndarray:
     """Shape, texture and boundary measurements over each of the (4, N)
     (top, left, height, width) candidate rects, as rows of elongation,
@@ -444,7 +455,7 @@ def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.nd
     pixel of the side column.
     """
     n = p.base.shape[0]
-    top, left, height, width = rects
+    top, left, height, width = rects = _check_rects(rects)
     bottom, right = top + height, left + width
     bad = ((np.minimum(top, left) < 0) | (np.maximum(bottom, right) > n)
            | (np.minimum(height, width) < 1))
@@ -470,8 +481,44 @@ def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.nd
     ))
 
 
+def _bands(values: np.ndarray, bands, meets) -> np.ndarray:
+    """The value of the first band whose threshold ``meets`` accepts, 0
+    where none does.  The bands are applied last first, so that an earlier
+    match overwrites a later one."""
+    out = np.zeros(values.shape)
+    for bound, value in reversed(bands):
+        out = np.where(meets(values, bound), value, out)
+    return out
+
+
+def feature_supports(measurements: np.ndarray, config: PipelineConfig) -> np.ndarray:
+    """The (4, N) supports (elongation, texture, left and right boundary) of
+    ``measure_candidates``' (5, N) rows: elongation, edgedness, hv_d (inf
+    where a candidate has no diagonal edge), left and right side coverage.
+    Few micro-edges, or overwhelmingly axis-aligned ones, both support the
+    window reading.  An elongation below 1, a negative edgedness, a side
+    coverage outside [0, 1], or a NaN in any of them raises OutOfRangeError.
+    """
+    measurements = real_array(measurements, InvalidParamsError, "measurements").astype(np.float64)
+    if measurements.ndim != 2 or len(measurements) != 5:
+        raise InvalidParamsError(f"measurements of shape {measurements.shape}, not (5, N)")
+    elongation, edgedness, hv_d = measurements[:3]
+    sides = measurements[3:]
+    for values, ok, message in (   # a NaN fails every comparison
+            (elongation, elongation >= 1.0, "elongation {} outside [1, inf]"),
+            (edgedness, edgedness >= 0.0, "edgedness {} outside [0, inf]"),
+            (sides, (sides >= 0.0) & (sides <= 1.0), "boundary support {} outside [0, 1]")):
+        if not ok.all():
+            raise OutOfRangeError(message.format(float(values[~ok][0])))
+    texture = np.where(edgedness < config.low_edgedness, config.low_edgedness_belief,
+                       _bands(hv_d, config.hv_d_bands, np.greater_equal))
+    beliefs = np.vstack((_bands(elongation, config.elongation_bands, np.less_equal), texture,
+                         _bands(sides, config.boundary_bands, np.greater_equal)))
+    return beliefs * config.quality_weight
+
+
 def stage_a_beliefs(rects: np.ndarray, p: Pyramid, micro: EdgeField,
-                    window_ks: KnowledgeSource,
+                    window_ks: KnowledgeSource | None,
                     config: PipelineConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Measure each candidate and verify the feature evidence: the (4, N)
     feature supports and the stage A beliefs."""
@@ -490,18 +537,17 @@ def sibling_search(rects: np.ndarray, bel_a: np.ndarray,
     """
     alive = np.flatnonzero(bel_a >= config.survivor_threshold)
     support = np.zeros((2, len(bel_a)))   # v_sibl, h_sibl
-    if len(alive) > 1:   # a lone survivor has no sibling
-        top, left, height, width = rects[:, alive]
-        bottom, right = top + height, left + width
-        cy, cx = top + height / 2.0, left + width / 2.0
-        tol = config.sibling_tolerance * 4  # level-5 cells in base pixels
-        # [i, j] for survivors i and j, a survivor never its own sibling
-        apart = ~np.eye(len(alive), dtype=bool)
-        h_overlap = (left[:, None] < right) & (left < right[:, None])
-        v_overlap = (top[:, None] < bottom) & (top < bottom[:, None])
-        h = (apart & ~h_overlap & (np.abs(cy[:, None] - cy) <= tol)).any(axis=1)
-        v = (apart & ~v_overlap & (np.abs(cx[:, None] - cx) <= tol)).any(axis=1)
-        support[:, alive] = np.where([v, h], config.sibling_support, 0.0)
+    top, left, height, width = _check_rects(rects, bel_a)[:, alive]
+    bottom, right = top + height, left + width
+    cy, cx = top + height / 2.0, left + width / 2.0
+    tol = config.sibling_tolerance * 4  # level-5 cells in base pixels
+    # [i, j] for survivors i and j, a survivor never its own sibling
+    apart = ~np.eye(len(alive), dtype=bool)
+    h_overlap = (left[:, None] < right) & (left < right[:, None])
+    v_overlap = (top[:, None] < bottom) & (top < bottom[:, None])
+    h = (apart & ~h_overlap & (np.abs(cy[:, None] - cy) <= tol)).any(axis=1)
+    v = (apart & ~v_overlap & (np.abs(cx[:, None] - cx) <= tol)).any(axis=1)
+    support[:, alive] = np.where([v, h], config.sibling_support, 0.0)
     return support[0], support[1]
 
 
@@ -552,6 +598,7 @@ def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
     cluster whose first cell in raster order comes last.  With no long
     edges at all, every candidate gets 0.
     """
+    rects = _check_rects(rects)
     outside = np.zeros(rects.shape[1], dtype=bool)
     if len(long_edges) and rects.size:
         grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)
@@ -566,12 +613,12 @@ def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
     return np.where(outside, config.non_window_support, 0.0)
 
 
-def stage_b_beliefs(bel_a, v_sibl, h_sibl, sibling_ks: KnowledgeSource) -> np.ndarray:
+def stage_b_beliefs(bel_a, v_sibl, h_sibl, sibling_ks: KnowledgeSource | None) -> np.ndarray:
     return stage_b_belief(bel_a, v_sibl, h_sibl, sibling_ks)
 
 
 def stage_c_beliefs(bel_a, non_window, v_sibl, h_sibl,
-                    sibling_ks: KnowledgeSource) -> tuple[np.ndarray, np.ndarray]:
+                    sibling_ks: KnowledgeSource | None) -> tuple[np.ndarray, np.ndarray]:
     """The stage C beliefs and their combination conflict K."""
     return (stage_c_belief(bel_a, non_window, v_sibl, h_sibl, sibling_ks),
             stage_c_conflict(bel_a, non_window, v_sibl, h_sibl, sibling_ks))
@@ -593,10 +640,11 @@ def run_pipeline(image: np.ndarray,
     """The full level-synchronous chain, from pixels to staged beliefs.
 
     The candidate stages take and return arrays; the records that
-    ``find_window_candidates`` made are filled in once, at the end.
+    ``find_window_candidates`` made are filled in once, at the end.  The
+    sources default to ``stages.window_knowledge`` and ``sibling_knowledge``.
     """
-    window_ks = window_ks if window_ks is not None else window_knowledge()
-    sibling_ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
+    if not isinstance(config, PipelineConfig):
+        raise InvalidParamsError(f"config of type {type(config).__name__} is not a PipelineConfig")
     p = build_pyramid(image)
     micro = extract_micro_edges(p, config)
     short = aggregate_short_edges(p, micro, config)

@@ -37,12 +37,6 @@ class ReportRow(NamedTuple):
     bel_c: float
 
 
-def row_from_candidate(c: CandidateArea) -> ReportRow:
-    supports = c.supports if c.supports is not None else (0.0, 0.0, 0.0, 0.0)
-    return ReportRow(str(c.id), *supports, c.bel_a, c.v_sibl, c.h_sibl,
-                     c.bel_b, c.non_window, c.bel_c)
-
-
 def format_report(rows: list[ReportRow]) -> str:
     """Tab-separated report, three decimals, best final belief first."""
     ordered = sorted(rows, key=lambda r: (-r.bel_c, r.id))
@@ -69,4 +63,5 @@ def write_overlay(image: np.ndarray, cands: list[CandidateArea], path: str) -> N
 
 
 def report_from_result(result: PipelineResult) -> list[ReportRow]:
-    return [row_from_candidate(c) for c in result.candidates]
+    return [ReportRow(str(c.id), *c.supports, c.bel_a, c.v_sibl, c.h_sibl,
+                      c.bel_b, c.non_window, c.bel_c) for c in result.candidates]

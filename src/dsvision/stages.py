@@ -25,7 +25,6 @@ import functools
 
 import numpy as np
 
-from .assessment import real_array
 from .errors import InvalidParamsError
 from .evidence import Clause, combine_all, make_frame, simple_support
 from .knowledge import KnowledgeSource, verify
@@ -65,6 +64,14 @@ def sibling_knowledge() -> KnowledgeSource:
     ))
 
 
+def real_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as an array in their own dtype if bool, integer or float, else ``error``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise error(f"{what} of type {array.dtype} are not real numbers")
+    return array
+
+
 _MEMO_ROWS = 4096   # rows each stage's cache keeps per source, least recent out
 
 
@@ -85,9 +92,16 @@ def _stage(ks: KnowledgeSource, atoms: tuple[str, ...]):
     return outcome
 
 
-def _evidence(ks: KnowledgeSource, atoms: tuple[str, ...], supports, column: int):
-    """Item ``column`` (0 for Bel, 1 for K) of each row's outcome: a float
-    for a call on numbers, else an array in the supports' broadcast shape."""
+def _evidence(ks: KnowledgeSource | None, default, atoms: tuple[str, ...], supports,
+              column: int):
+    """Item ``column`` (0 for Bel, 1 for K) of each row's outcome under
+    ``ks``, or ``default()`` where it is None: a float for a call on
+    numbers, else an array in the supports' broadcast shape."""
+    if ks is None:
+        ks = default()
+    elif not isinstance(ks, KnowledgeSource):
+        raise InvalidParamsError(f"knowledge source of type {type(ks).__name__} "
+                                 "is not a KnowledgeSource")
     try:
         arrays = np.broadcast_arrays(*(real_array(s, TypeError, "values") for s in supports))
     except (TypeError, ValueError) as exc:
@@ -101,14 +115,12 @@ def _evidence(ks: KnowledgeSource, atoms: tuple[str, ...], supports, column: int
 
 def stage_a_belief(elong, text, lt, rt, window_ks: KnowledgeSource | None = None):
     """Belief in the window hypothesis from shape/texture/boundary evidence."""
-    ks = window_ks if window_ks is not None else window_knowledge()
-    return _evidence(ks, FEATURE_ATOMS, (elong, text, lt, rt), 0)
+    return _evidence(window_ks, window_knowledge, FEATURE_ATOMS, (elong, text, lt, rt), 0)
 
 
 def stage_b_belief(window, v_sibl, h_sibl, sibling_ks: KnowledgeSource | None = None):
     """Belief after the lateral sibling search."""
-    ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
-    return _evidence(ks, SIBLING_ATOMS, (window, v_sibl, h_sibl), 0)
+    return _evidence(sibling_ks, sibling_knowledge, SIBLING_ATOMS, (window, v_sibl, h_sibl), 0)
 
 
 def stage_c_belief(window, non_window, v_sibl, h_sibl,
@@ -119,13 +131,13 @@ def stage_c_belief(window, non_window, v_sibl, h_sibl,
     normalization absorbs the conflict before the sibling verification,
     and a row whose conflict is total raises ``TotalConflictError``.
     """
-    ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
-    return _evidence(ks, _CONFLICT_ATOMS, (window, non_window, v_sibl, h_sibl), 0)
+    return _evidence(sibling_ks, sibling_knowledge, _CONFLICT_ATOMS,
+                     (window, non_window, v_sibl, h_sibl), 0)
 
 
 def stage_c_conflict(window, non_window, v_sibl, h_sibl,
                      sibling_ks: KnowledgeSource | None = None):
     """Stage C's combination conflict K, as ``combine_all`` reported it
     when it gave ``stage_c_belief`` of the same arguments."""
-    ks = sibling_ks if sibling_ks is not None else sibling_knowledge()
-    return _evidence(ks, _CONFLICT_ATOMS, (window, non_window, v_sibl, h_sibl), 1)
+    return _evidence(sibling_ks, sibling_knowledge, _CONFLICT_ATOMS,
+                     (window, non_window, v_sibl, h_sibl), 1)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsvision.assessment import feature_supports
 from dsvision.errors import InvalidParamsError, OutOfRangeError
-from dsvision.pyramid import DEFAULT_CONFIG, PipelineConfig
+from dsvision.pyramid import DEFAULT_CONFIG, PipelineConfig, feature_supports
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,9 @@ class TestParser:
             assert exc.value.code == 0
             assert capsys.readouterr().out == build_parser().format_help()
             with pytest.raises(SystemExit) as exc:
-                main(["pipeline", "img.pgm", "--threshold", "high"])
+                main(["pipeline", "img.pgm", "--threshold", "0.5"])
             assert exc.value.code == 2
-            assert "argument --threshold: invalid float value: 'high'" in capsys.readouterr().err
+            assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
             assert main(["shutter"]) == 0
             assert capsys.readouterr().out == "Bel(shutter) = 0.443\nBel(THETA) = 0.557\n"
 
@@ -248,8 +248,10 @@ class TestPipeline:
         assert report.read_text().startswith("id\t")
         assert overlay.read_bytes().startswith(b"P6\n128 128\n255\n")
 
-    def test_threshold_override(self, facade_pgm, capsys):
-        assert main(["pipeline", facade_pgm, "--threshold", "0.99"]) == 0
+    def test_threshold_override(self, facade_pgm, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("survivor_threshold = 0.99\n")
+        assert main(["pipeline", facade_pgm, "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
         # nothing survives, so sibling and final beliefs collapse to stage A
         for line in lines[1:]:
@@ -274,9 +276,11 @@ class TestPipeline:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_nan_threshold(self, facade_pgm, capsys):
-        assert main(["pipeline", facade_pgm, "--threshold", "nan"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+    def test_nan_threshold(self, facade_pgm, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("survivor_threshold = nan\n")
+        assert main(["pipeline", facade_pgm, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: survivor_threshold = nan is not finite\n"
 
     def test_knowledge_files(self, facade_pgm, tmp_path, capsys):
         window = tmp_path / "window.know"

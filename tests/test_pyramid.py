@@ -792,6 +792,10 @@ class TestSiblingSearch:
         assert (v_sibl.tolist(), h_sibl.tolist()) == ([0.0, 0.0], [0.0, 0.0])
         assert rects.tobytes() == kept[0].tobytes() and bel_a.tobytes() == kept[1].tobytes()
 
+    # no candidates, then none and one of two above the threshold
+    @example([], 0.3, 2, 0.6)
+    @example([(10, 10, 12, 16, -1.0), (10, 40, 12, 16, -1e-9)], 0.3, 2, 0.6)
+    @example([(10, 10, 12, 16, 0.0), (10, 40, 12, 16, -1e-9)], 0.3, 2, 0.6)
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 20),
                               st.integers(0, 20), st.sampled_from([-1e-9, 0.0, 1e-9, -1.0])),
@@ -885,6 +889,26 @@ class TestBuildingBoundary:
             tracemalloc.stop()
         assert non_window.tolist() == [0.0]
         assert peak < 1024 * len(cells)   # under 4 MB: a constant per grid cell
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: building_boundary(r.long_edges, pyramid._rects(r.candidates)[:3]),
+    lambda r: building_boundary(r.long_edges, pyramid._rects(r.candidates)[0]),
+    lambda r: sibling_search(pyramid._rects(r.candidates),
+                             np.array([c.bel_a for c in r.candidates[:3]])),
+    lambda r: sibling_search(pyramid._rects(r.candidates),
+                             np.array([[c.bel_a] for c in r.candidates])),
+    lambda r: measure_candidates(r.pyramid, pyramid._rects(r.candidates).astype(float), r.micro),
+    lambda r: measure_candidates(r.pyramid, pyramid._rects(r.candidates).T, r.micro),
+    lambda r: pyramid.stage_a_beliefs(pyramid._rects(r.candidates) > 0, r.pyramid, r.micro, None),
+], ids=["boundary-three-rows", "boundary-one-row", "siblings-three-beliefs",
+        "siblings-column-of-beliefs", "measure-float", "measure-transposed", "stage-a-bool"])
+def test_rects_not_integer_columns_rejected(call):
+    # each used to give a silent wrong answer or a bare numpy error
+    result = run_pipeline(synthetic_facade().image)
+    assert len(result.candidates) > 4
+    with pytest.raises(InvalidParamsError, match=r"(not a \(4, N\) integer array| for \d+ rects)$"):
+        call(result)
 
 
 # the pyramid layers that perfbench/traced.py wraps by their module globals

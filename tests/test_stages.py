@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FACADE_REPORT_SHA256, random_knowledge
 from dsvision import evidence, pyramid, stages
-from dsvision.assessment import feature_supports
 from dsvision.errors import (InvalidParamsError, NormalizationError, TotalConflictError,
                              UnknownAtomError)
 from dsvision.evidence import Clause, combine_all, make_frame, simple_support
@@ -27,8 +26,8 @@ from dsvision.fixtures import synthetic_facade
 from dsvision.knowledge import KnowledgeSource, verify
 from dsvision.oracle import OracleMass, atom_worlds, oracle_combine, oracle_verify, theta_worlds
 from dsvision.pyramid import (DIAGONAL, HORIZONTAL_GRADIENT, NO_EDGE, VERTICAL_GRADIENT,
-                              CandidateArea, EdgeField, Rect, build_pyramid, measure_candidates,
-                              run_pipeline)
+                              CandidateArea, EdgeField, Rect, build_pyramid, feature_supports,
+                              measure_candidates, run_pipeline)
 from dsvision.report import format_report, report_from_result
 from dsvision.stages import (FEATURE_ATOMS, FEATURE_FRAME, SIBLING_ATOMS, sibling_knowledge,
                              stage_a_belief, stage_b_belief, stage_c_belief, stage_c_conflict,
@@ -435,12 +434,33 @@ _TRIPLE = np.array([0.1, 0.2, 0.3])
     (lambda: KnowledgeSource("h", FEATURE_FRAME, (), None), NormalizationError),
     (lambda: KnowledgeSource.build("h", FEATURE_FRAME, [("elong", np.ones(2))]),
      NormalizationError),
+    (lambda: simple_support(FEATURE_FRAME, THETA, "0.5"), NormalizationError),
+    (lambda: simple_support(FEATURE_FRAME, THETA, None), NormalizationError),
+    (lambda: simple_support(FEATURE_FRAME, THETA, 0.5j), NormalizationError),
+    (lambda: simple_support(FEATURE_FRAME, THETA, np.ones(2)), NormalizationError),
 ], ids=["a-shapes", "a-text", "a-complex", "b-shapes", "b-ragged", "c-shapes",
         "c-dict", "conflict-shapes", "conflict-text", "conflict-complex", "mass-text",
         "mass-none", "mass-array", "knowledge-text", "knowledge-theta-text",
-        "knowledge-theta-none", "knowledge-array"])
+        "knowledge-theta-none", "knowledge-array", "support-text", "support-none",
+        "support-complex", "support-array"])
 def test_inputs_not_numbers_raise_dsvision_errors(call, error):
     # each used to escape as numpy's ValueError or a bare TypeError, and a
     # complex support was cast to its real part with only a warning
     with pytest.raises(error, match="(not numbers of one shape|is not a number)"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stage_a_belief(0.5, 0.4, 0.6, 0.6, window_ks="x"),
+    lambda: stage_b_belief(0.5, 0.6, 0.6, sibling_ks=window_knowledge),
+    lambda: stage_c_belief(0.5, 0.5, 0.6, 0.6, sibling_ks=0),
+    lambda: stage_c_conflict(0.5, 0.5, 0.6, 0.6, sibling_ks=[]),
+    lambda: run_pipeline(synthetic_facade().image, None),
+    lambda: run_pipeline(synthetic_facade().image, {"survivor_threshold": 0.5}),
+    lambda: run_pipeline(synthetic_facade().image, window_ks="x"),
+], ids=["a-text", "b-function", "c-int", "conflict-list", "config-none", "config-dict",
+        "pipeline-source-text"])
+def test_wrong_type_source_or_config_raises(call):
+    # each used to escape as a bare AttributeError
+    with pytest.raises(InvalidParamsError, match="is not a (KnowledgeSource|PipelineConfig)$"):
         call()

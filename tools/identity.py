@@ -117,7 +117,9 @@ KNOWLEDGE_TEXTS = [
 # config texts for ``pipeline --config`` on the bundled facade, each with at
 # most one fault: the 19 rejected lines of the tests' ``test_invalid_values``,
 # a value of the wrong kind for each value type, a repeated and an unknown key,
-# then values at the edges, infinite table thresholds among them
+# then values at the edges, infinite table thresholds among them, and the
+# survivor thresholds of the CLI tests' ``test_threshold_override`` and
+# ``test_nan_threshold``
 CONFIG_TEXTS = [
     "edge_threshold = nan\n", "survivor_threshold = inf\n", "quality_weight = -inf\n",
     "pair_min_sep = 50\n", "short_support = 0\n", "long_support = -1\n",
@@ -134,6 +136,7 @@ CONFIG_TEXTS = [
     "low_edgedness = inf\n", "low_edgedness = -inf\n", "hv_d_bands = inf:0.4\n",
     "elongation_bands = -inf:0.5\n", "boundary_bands = -inf:0.1,inf:0.6\n",
     "low_edgedness_belief = 1\nquality_weight = 0\n", "pair_min_sep = 1\npair_max_sep = 1\n",
+    "survivor_threshold = 0.99\n", "survivor_threshold = nan\n",
 ]
 
 # non-default window and sibling sources, with repeated focals and THETA
