@@ -12,7 +12,6 @@ from .evidence import (
     clause_subset,
     combine,
     combine_all,
-    make_frame,
     simple_support,
 )
 from .knowledge import KnowledgeSource, VerificationResult, parse_knowledge, verify
@@ -40,17 +39,12 @@ __all__ = [
     "clause_subset",
     "combine",
     "combine_all",
-    "make_frame",
     "simple_support",
     "KnowledgeSource",
     "VerificationResult",
     "parse_knowledge",
     "verify",
-    "CandidateArea",
-    "PipelineConfig",
-    "Pyramid",
-    "build_pyramid",
-    "run_pipeline",
+    *_PYRAMID_NAMES,
 ]
 
 __version__ = "0.1.0"

@@ -69,19 +69,11 @@ class Frame(tuple):
             seen.add(name)
         return self
 
-    @property
-    def atoms(self) -> tuple[str, ...]:
-        return tuple(self)
-
     def index(self, atom: str) -> int:
         try:
             return tuple.index(self, atom)
         except ValueError:
             raise UnknownAtomError(f"atom {atom!r} not in frame {list(self)}") from None
-
-
-def make_frame(atom_names: Iterable[str]) -> Frame:
-    return Frame(atom_names)
 
 
 @functools.lru_cache(maxsize=64)
@@ -159,16 +151,8 @@ class Clause(namedtuple("Clause", "frame kind pos neg")):
             return Clause.disjunction(frame, parts)
         return Clause.conjunction(frame, [p.strip() for p in text.split("&")])
 
-    @property
-    def is_theta(self) -> bool:
-        return self.kind == CONJUNCTION and self.pos == 0 and self.neg == 0
-
-    @property
-    def is_positive(self) -> bool:
-        return self.neg == 0
-
     def literals(self) -> Iterator[Literal]:
-        for i, atom in enumerate(self.frame.atoms):
+        for i, atom in enumerate(self.frame):
             bit = 1 << i
             if self.pos & bit:
                 yield Literal(atom)
@@ -187,7 +171,7 @@ class Clause(namedtuple("Clause", "frame kind pos neg")):
 
 def _check_same_frame(a, b) -> None:
     if a.frame != b.frame:
-        raise FrameMismatchError(f"frames differ: {a.frame.atoms} vs {b.frame.atoms}")
+        raise FrameMismatchError(f"frames differ: {a.frame} vs {b.frame}")
 
 
 def clause_subset(a: Clause, b: Clause) -> bool:
@@ -381,7 +365,7 @@ def read_focals(text: str, names: tuple[str, ...] = ()
         elif directive == "frame":
             if frame is not None:
                 raise ParseError(f"line {lineno}: frame declared twice")
-            frame = make_frame(args)
+            frame = Frame(args)
         elif directive in values:
             if len(args) != 1:
                 raise ParseError(f"line {lineno}: expected '{directive} <name>'")
@@ -415,6 +399,6 @@ def parse_mass_text(text: str) -> MassFunction:
 
 
 def format_mass_text(m: MassFunction) -> str:
-    lines = ["frame " + " ".join(m.frame.atoms)]
+    lines = ["frame " + " ".join(m.frame)]
     lines += [f"focal {clause} {mass:.12g}" for clause, mass in sorted_focals(m)]
     return "\n".join(lines) + "\n"

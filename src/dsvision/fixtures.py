@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidence import Clause, MassFunction, combine_all, make_frame, simple_support
+from .evidence import Clause, Frame, MassFunction, combine_all, simple_support
 from .knowledge import KnowledgeSource
 
-SHUTTER_FRAME = make_frame(["long", "low", "next-to"])
+SHUTTER_FRAME = Frame(["long", "low", "next-to"])
 
 # simple supports whose orthogonal sum yields the product masses
 # 0.21 / 0.14 / 0.09 / 0.06 / 0.21 / 0.14 / 0.09 / theta 0.06

@@ -48,9 +48,9 @@ class KnowledgeSource(namedtuple("KnowledgeSource", "name frame focals theta_mas
                     raise NormalizationError(f"mass {mass} on {clause} outside (0, 1]")
             except (TypeError, ValueError):
                 raise NormalizationError(f"mass {mass!r} on {clause} is not a number") from None
-            if not clause.is_positive:
+            if clause.neg:
                 raise NegativeLiteralInKnowledgeError(f"negative literal in {clause}")
-            if clause.is_theta:
+            if not clause.pos | clause.neg:
                 raise ParseError("use the theta residual, not a THETA focal")
         try:
             if not 0 <= theta_mass <= 1.0 + MASS_SUM_TOL:

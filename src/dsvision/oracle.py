@@ -67,19 +67,16 @@ def atom_worlds(frame: Frame, atom: str, positive: bool = True) -> WorldSet:
 
 
 def to_worlds(frame: Frame, c: Clause) -> WorldSet:
-    """World-set semantics of a clause: intersection of its literals for a
-    conjunction, union for a disjunction."""
+    """World-set semantics of a clause: the worlds where every literal of a
+    conjunction holds, or some atom of a disjunction."""
     if c.frame != frame:
         raise FrameMismatchError("clause over a different frame")
+    worlds = range(1 << len(frame))
     if c.kind == CONJUNCTION:
-        acc = theta_worlds(frame)
-        for lit in c.literals():
-            acc = acc & atom_worlds(frame, lit.atom, lit.positive)
-        return acc
-    mask = 0
-    for lit in c.literals():
-        mask |= atom_worlds(frame, lit.atom, lit.positive).members
-    return WorldSet(frame, mask)
+        members = (w for w in worlds if (w & c.pos) == c.pos and not w & c.neg)
+    else:
+        members = (w for w in worlds if w & c.pos)
+    return WorldSet(frame, sum(1 << world for world in members))
 
 
 class OracleMass:

@@ -279,6 +279,7 @@ def aggregate_long_edges(p: Pyramid, short: np.ndarray,
     enough.  Takes and returns (row, col, direction, count) rows."""
     n6 = p.base.shape[0] // 2
     n5 = n6 // 2
+    short = _check_edges(short, n6)
     present = np.zeros((n6, n6, 8), dtype=bool)
     present[short[:, 0], short[:, 1], short[:, 2]] = True
     blocks = present.reshape(n5, 2, n5, 2, 8)   # (row5, dr, col5, dc, direction)
@@ -391,7 +392,7 @@ def find_window_candidates(long_edges: np.ndarray,
     most 512 lines of each polarity (a checkerboard of single cells), so
     the test takes at most 512 x 512 entries.
     """
-    direction, row_min, row_max, start, end = _edge_lines(long_edges).T
+    direction, row_min, row_max, start, end = _edge_lines(_check_edges(long_edges)).T
     pixel_row = 2 * (row_min + row_max + 1)
     d2, d6 = (np.flatnonzero(direction == d) for d in VERTICAL_GRADIENT)
     sep = np.abs(pixel_row[d2, None] - pixel_row[d6])
@@ -443,6 +444,25 @@ def _check_rects(rects, *per_rect) -> np.ndarray:
     return rects.astype(np.intp, copy=False)
 
 
+def _check_edges(edges, side: int | None = None) -> np.ndarray:
+    """``edges`` as (N, 4) intp rows of (row, col, direction, count), with
+    cells in [0, side) and directions 0-7; else InvalidParamsError."""
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 4 or edges.dtype.kind not in "iu":
+        raise InvalidParamsError(f"edges of type {edges.dtype} and shape {edges.shape} "
+                                 "are not an (N, 4) integer array")
+    edges = edges.astype(np.intp, copy=False)
+    high = np.iinfo(np.intp).max if side is None else side
+    # read as unsigned, a negative value lies above every bound
+    row, col, direction = edges[:, :3].view(np.uintp).T
+    if max(row.max(initial=0), col.max(initial=0)) >= high or direction.max(initial=0) >= 8:
+        bad = (row >= high) | (col >= high) | (direction >= 8)
+        cells = "below 0" if side is None else f"outside [0, {side})"
+        raise InvalidParamsError(f"edge {tuple(edges[bad.argmax()].tolist())} has a cell "
+                                 f"{cells} or a direction outside 0-7")
+    return edges
+
+
 def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.ndarray:
     """Shape, texture and boundary measurements over each of the (4, N)
     (top, left, height, width) candidate rects, as rows of elongation,
@@ -457,8 +477,9 @@ def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.nd
     n = p.base.shape[0]
     top, left, height, width = rects = _check_rects(rects)
     bottom, right = top + height, left + width
-    bad = ((np.minimum(top, left) < 0) | (np.maximum(bottom, right) > n)
-           | (np.minimum(height, width) < 1))
+    # a column above the side is bad itself, since its sum may wrap around
+    bad = ((rects.max(axis=0) > n) | (np.maximum(bottom, right) > n)
+           | (np.minimum(top, left) < 0) | (np.minimum(height, width) < 1))
     if bad.any():
         r = Rect(*rects[:, bad.argmax()].tolist())
         raise RectOutOfBoundsError(f"rect {r} empty or outside {n}x{n} base")
@@ -598,7 +619,7 @@ def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
     cluster whose first cell in raster order comes last.  With no long
     edges at all, every candidate gets 0.
     """
-    rects = _check_rects(rects)
+    long_edges, rects = _check_edges(long_edges), _check_rects(rects)
     outside = np.zeros(rects.shape[1], dtype=bool)
     if len(long_edges) and rects.size:
         grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -12,6 +12,9 @@ from .pyramid import CandidateArea, PipelineResult
 COLUMNS = ("id", "bel_elong", "bel_text", "bel_lt_bound", "bel_rt_bound",
            "bel_wnd", "bel_v_sibl", "bel_h_sibl", "bel_wnd_b",
            "bel_non_wnd", "bel_wnd_c")
+# a row is the id and ten beliefs, one field per column
+ReportRow = namedtuple("ReportRow", COLUMNS)
+_ROW = "%s" + "\t%.3f" * (len(COLUMNS) - 1)
 
 # overlay hues binned by final belief: strong, middling, weak
 HUE_STRONG = (0, 255, 0)
@@ -19,28 +22,11 @@ HUE_MID = (255, 255, 0)
 HUE_WEAK = (255, 0, 0)
 _HUES = np.array([HUE_STRONG, HUE_MID, HUE_WEAK], dtype=np.uint8)
 
-_HEADER = "\t".join(COLUMNS)
-_ROW = "%s" + "\t%.3f" * (len(COLUMNS) - 1)   # a row is the id and ten beliefs
-
-
-class ReportRow(NamedTuple):
-    id: str
-    bel_elong: float
-    bel_text: float
-    bel_lt: float
-    bel_rt: float
-    bel_a: float
-    bel_v: float
-    bel_h: float
-    bel_b: float
-    bel_non: float
-    bel_c: float
-
 
 def format_report(rows: list[ReportRow]) -> str:
     """Tab-separated report, three decimals, best final belief first."""
-    ordered = sorted(rows, key=lambda r: (-r.bel_c, r.id))
-    return "\n".join([_HEADER, *(_ROW % row for row in ordered)]) + "\n"
+    ordered = sorted(rows, key=lambda r: (-r.bel_wnd_c, r.id))
+    return "\n".join(["\t".join(ReportRow._fields), *(_ROW % row for row in ordered)]) + "\n"
 
 
 def write_overlay(image: np.ndarray, cands: list[CandidateArea], path: str) -> None:

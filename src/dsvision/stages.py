@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidParamsError
-from .evidence import Clause, combine_all, make_frame, simple_support
+from .evidence import Clause, Frame, combine_all, simple_support
 from .knowledge import KnowledgeSource, verify
 
 FEATURE_ATOMS = ("elong", "text", "lt-bound", "rt-bound")
@@ -34,8 +34,8 @@ SIBLING_ATOMS = ("window", "v-sibl", "h-sibl")
 # stage C's supports, in the order they are combined
 _CONFLICT_ATOMS = ("window", "!window", "v-sibl", "h-sibl")
 
-FEATURE_FRAME = make_frame(FEATURE_ATOMS)
-SIBLING_FRAME = make_frame(SIBLING_ATOMS)
+FEATURE_FRAME = Frame(FEATURE_ATOMS)
+SIBLING_FRAME = Frame(SIBLING_ATOMS)
 
 
 # the default sources are built once: a KnowledgeSource is frozen, so every

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dsvision.evidence import Clause, Frame, MassFunction, make_frame
+from dsvision.evidence import Clause, Frame, MassFunction
 from dsvision.knowledge import KnowledgeSource
 from dsvision.netpbm import to_uint8
 
@@ -16,7 +16,7 @@ FACADE_OVERLAY_SHA256 = "b8c491670581174753aec4551c133eb5215f5916af0951eafe73b42
 
 @pytest.fixture
 def shutter_frame() -> Frame:
-    return make_frame(["long", "low", "next-to"])
+    return Frame(["long", "low", "next-to"])
 
 
 def vacuous(frame: Frame) -> MassFunction:
@@ -35,7 +35,7 @@ def write_p5(image: np.ndarray, path: str) -> None:
 
 def random_cube(rng: random.Random, frame: Frame, allow_negative: bool = True) -> Clause:
     literals = []
-    for atom in frame.atoms:
+    for atom in frame:
         roll = rng.random()
         if roll < 1 / 3:
             literals.append(atom)
@@ -58,14 +58,14 @@ def random_knowledge(rng: random.Random, frame: Frame, max_focals: int = 4) -> K
     focals = {}
     for _ in range(rng.randint(1, max_focals)):
         if rng.random() < 0.3:
-            atoms = [a for a in frame.atoms if rng.random() < 0.6]
+            atoms = [a for a in frame if rng.random() < 0.6]
             if not atoms:
-                atoms = [rng.choice(frame.atoms)]
+                atoms = [rng.choice(frame)]
             clause = Clause.disjunction(frame, atoms)
         else:
-            atoms = [a for a in frame.atoms if rng.random() < 0.5]
+            atoms = [a for a in frame if rng.random() < 0.5]
             if not atoms:
-                atoms = [rng.choice(frame.atoms)]
+                atoms = [rng.choice(frame)]
             clause = Clause.conjunction(frame, atoms)
         focals.setdefault(clause, rng.random() + 0.05)
     theta = rng.random() * 0.5
@@ -84,7 +84,7 @@ def all_cubes(frame: Frame) -> list[Clause]:
     for assignment in range(3 ** n):
         literals = []
         rest = assignment
-        for atom in frame.atoms:
+        for atom in frame:
             rest, state = divmod(rest, 3)
             if state == 1:
                 literals.append(atom)
@@ -98,6 +98,6 @@ def all_disjunctions(frame: Frame) -> list[Clause]:
     n = len(frame)
     out = []
     for mask in range(1, 1 << n):
-        atoms = [a for i, a in enumerate(frame.atoms) if mask >> i & 1]
+        atoms = [a for i, a in enumerate(frame) if mask >> i & 1]
         out.append(Clause.disjunction(frame, atoms))
     return out

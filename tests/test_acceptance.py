@@ -15,11 +15,11 @@ from conftest import FACADE_REPORT_SHA256, all_cubes, random_knowledge, random_m
 from dsvision.errors import TotalConflictError
 from dsvision.evidence import (
     Clause,
+    Frame,
     belief,
     clause_intersect,
     clause_subset,
     combine,
-    make_frame,
     simple_support,
 )
 from dsvision.fixtures import (
@@ -108,7 +108,7 @@ def test_oracle_equivalence():
     worst = 0.0
     runs = 0
     while runs < 1000:
-        frame = make_frame([f"a{i}" for i in range(rng.randint(1, 4))])
+        frame = Frame([f"a{i}" for i in range(rng.randint(1, 4))])
         m1 = random_mass(rng, frame)
         m2 = random_mass(rng, frame)
         try:
@@ -119,7 +119,7 @@ def test_oracle_equivalence():
         worst = max(worst, abs(fast.conflict - k))
         for clause, mass in fast.result.items():
             worst = max(worst, abs(slow.mass(to_worlds(frame, clause)) - mass))
-        hyp = Clause.conjunction(frame, [rng.choice(frame.atoms)])
+        hyp = Clause.conjunction(frame, [rng.choice(frame)])
         worst = max(worst,
                     abs(belief(fast.result, hyp)
                         - oracle_belief(slow, to_worlds(frame, hyp))))
@@ -133,7 +133,7 @@ def test_oracle_equivalence():
     # exhaustive clause subset / intersection agreement over small frames
     structural_ok = True
     for n in range(1, 5):
-        frame = make_frame([f"a{i}" for i in range(n)])
+        frame = Frame([f"a{i}" for i in range(n)])
         cubes = all_cubes(frame)
         worlds = {c: to_worlds(frame, c) for c in cubes}
         for a in cubes:
@@ -157,7 +157,7 @@ def test_combination_algebra():
     ok = True
     detail = ""
     for _ in range(200):
-        frame = make_frame([f"a{i}" for i in range(rng.randint(1, 4))])
+        frame = Frame([f"a{i}" for i in range(rng.randint(1, 4))])
         m1 = random_mass(rng, frame)
         m2 = random_mass(rng, frame)
         try:
@@ -179,7 +179,7 @@ def test_combination_algebra():
             detail = "vacuous identity"
 
     # total conflict triggers exactly at the pinned threshold
-    frame = make_frame(["a"])
+    frame = Frame(["a"])
     yes = Clause.conjunction(frame, ["a"])
     no = Clause.conjunction(frame, ["!a"])
     try:

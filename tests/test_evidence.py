@@ -24,6 +24,7 @@ from dsvision.evidence import (
     MASS_SUM_TOL,
     MAX_ATOMS,
     Clause,
+    Frame,
     MassFunction,
     belief,
     clause_intersect,
@@ -31,7 +32,6 @@ from dsvision.evidence import (
     combine,
     combine_all,
     format_mass_text,
-    make_frame,
     parse_mass_text,
     simple_support,
 )
@@ -56,29 +56,32 @@ def validate(m: MassFunction) -> list[str]:
 
 
 class TestMakeFrame:
+    """Building a ``Frame``, which validates its atoms.  The class keeps its
+    old name, from when a helper built frames, so its test ids stay stable."""
+
     def test_three_atoms(self):
-        frame = make_frame(["long", "low", "next-to"])
+        frame = Frame(["long", "low", "next-to"])
         assert len(frame) == 3
-        assert frame.atoms == ("long", "low", "next-to")
+        assert frame == ("long", "low", "next-to")
 
     def test_minimal(self):
-        assert len(make_frame(["a"])) == 1
+        assert len(Frame(["a"])) == 1
 
     def test_duplicate(self):
         with pytest.raises(DuplicateAtomError):
-            make_frame(["a", "a"])
+            Frame(["a", "a"])
 
     def test_too_many(self):
         with pytest.raises(TooManyAtomsError):
-            make_frame([f"a{i}" for i in range(17)])
+            Frame([f"a{i}" for i in range(17)])
 
     def test_empty_name(self):
         with pytest.raises(EmptyNameError):
-            make_frame(["a", ""])
+            Frame(["a", ""])
 
     def test_empty_frame(self):
         with pytest.raises(EmptyNameError):
-            make_frame([])
+            Frame([])
 
     @pytest.mark.parametrize("name", ["THETA", "a&b", "a|b", "!a", "a#b", "c d", "a\tb"])
     def test_name_clashing_with_the_clause_syntax(self, name):
@@ -86,7 +89,7 @@ class TestMakeFrame:
         # be cut by the text formats' comments and field splitting
         with pytest.raises(ParseError,
                            match=f"atom {re.escape(repr(name))} clashes with the clause syntax"):
-            make_frame(["x", name])
+            Frame(["x", name])
 
     @pytest.mark.parametrize("atoms, name", [
         ([1, 2], "1"), ([0.0], "0.0"), (["a", "a", None], "None"), ([b"a"] * 17, "b'a'"),
@@ -94,37 +97,37 @@ class TestMakeFrame:
     def test_non_string_atom(self, atoms, name):
         # checked before any other rule, so it is named whatever else is wrong
         with pytest.raises(ParseError, match=f"^atom {re.escape(name)} is not a string$"):
-            make_frame(atoms)
+            Frame(atoms)
 
 
 class TestClause:
     def test_contradictory_conjunction_rejected(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         with pytest.raises(ContradictionError):
             conj(frame, "a", "!a")
 
     def test_empty_disjunction_rejected(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         with pytest.raises(ContradictionError):
             Clause.disjunction(frame, [])
 
     def test_parse_roundtrip(self):
-        frame = make_frame(["a", "b", "c"])
+        frame = Frame(["a", "b", "c"])
         for text in ("a", "a&b", "!a&c", "a|b", "THETA"):
             assert str(Clause.parse(frame, text)) == text
 
     def test_parse_mixed_rejected(self):
-        frame = make_frame(["a", "b", "c"])
+        frame = Frame(["a", "b", "c"])
         with pytest.raises(ParseError):
             Clause.parse(frame, "a&b|c")
 
     def test_parse_negated_disjunction_rejected(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         with pytest.raises(ParseError):
             Clause.parse(frame, "!a|b")
 
     def test_parse_strips_spaces_around_literals(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         assert Clause.parse(frame, " a & !b ") == conj(frame, "a", "!b")
         assert Clause.parse(frame, "a | b") == Clause.disjunction(frame, ["a", "b"])
 
@@ -134,12 +137,12 @@ class TestClause:
             "trailing-or"])
     def test_parse_unknown_atom_message(self, text, atom):
         with pytest.raises(UnknownAtomError) as info:
-            Clause.parse(make_frame(["a", "b"]), text)
+            Clause.parse(Frame(["a", "b"]), text)
         assert str(info.value) == f"atom {atom!r} not in frame ['a', 'b']"
 
 
 frames = st.lists(st.text("abxyz-_0", min_size=1, max_size=3), min_size=1,
-                  max_size=MAX_ATOMS, unique=True).map(make_frame)
+                  max_size=MAX_ATOMS, unique=True).map(Frame)
 
 
 @st.composite
@@ -189,7 +192,7 @@ class TestClauseText:
         assert parse_mass_text(format_mass_text(m)) == m
 
 
-_AB = make_frame(["a", "b"])
+_AB = Frame(["a", "b"])
 _A_OR_B = Clause.disjunction(_AB, ["a", "b"])
 
 
@@ -209,24 +212,24 @@ def test_invalid_api_input_raises_dsvision_error(call, error):
 
 class TestSimpleSupport:
     def test_mass_split(self):
-        frame = make_frame(["long", "low", "next-to"])
+        frame = Frame(["long", "low", "next-to"])
         m = simple_support(frame, conj(frame, "long"), 0.6)
         assert m.mass(conj(frame, "long")) == pytest.approx(0.6)
         assert m.mass(Clause.theta(frame)) == pytest.approx(0.4)
 
     def test_zero_is_vacuous(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         m = simple_support(frame, conj(frame, "a", "b"), 0.0)
         assert m == vacuous(frame)
 
     def test_negative_literal_focal(self):
-        frame = make_frame(["window"])
+        frame = Frame(["window"])
         m = simple_support(frame, conj(frame, "!window"), 0.5)
         assert m.mass(conj(frame, "!window")) == pytest.approx(0.5)
         assert m.mass(Clause.theta(frame)) == pytest.approx(0.5)
 
     def test_belief_of_focal_equals_support(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         focal = conj(frame, "a")
         m = simple_support(frame, focal, 0.37)
         assert belief(m, focal) == pytest.approx(0.37)
@@ -234,7 +237,7 @@ class TestSimpleSupport:
 
 class TestValidate:
     def test_vacuous_ok(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         assert validate(vacuous(frame)) == []
 
     def test_shutter_knowledge_as_mass_ok(self, shutter_frame):
@@ -248,7 +251,7 @@ class TestValidate:
         assert validate(m) == []
 
     def test_bad_sum_rejected_at_construction(self):
-        frame = make_frame(["long"])
+        frame = Frame(["long"])
         with pytest.raises(NormalizationError):
             MassFunction(frame, {conj(frame, "long"): 0.7})
 
@@ -259,24 +262,24 @@ class TestClauseSubset:
         assert clause_subset(a, conj(shutter_frame, "long"))
 
     def test_theta_reflexive(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         assert clause_subset(Clause.theta(frame), Clause.theta(frame))
 
     def test_theta_not_in_proper_clause(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         assert not clause_subset(Clause.theta(frame), conj(frame, "a"))
 
     def test_disjunction_membership(self):
         # world enumeration over 2 atoms: !lt & rt entails lt-or-rt
-        frame = make_frame(["lt-bound", "rt-bound"])
+        frame = Frame(["lt-bound", "rt-bound"])
         a = conj(frame, "!lt-bound", "rt-bound")
         b = Clause.disjunction(frame, ["lt-bound", "rt-bound"])
         assert clause_subset(a, b)
         assert not clause_subset(conj(frame, "!lt-bound"), b)
 
     def test_frame_mismatch(self):
-        a = conj(make_frame(["a"]), "a")
-        b = conj(make_frame(["b"]), "b")
+        a = conj(Frame(["a"]), "a")
+        b = conj(Frame(["b"]), "b")
         with pytest.raises(FrameMismatchError):
             clause_subset(a, b)
 
@@ -287,7 +290,7 @@ class TestClauseIntersect:
         assert c == conj(shutter_frame, "long", "low")
 
     def test_opposite_polarities_empty(self):
-        frame = make_frame(["window"])
+        frame = Frame(["window"])
         c = clause_intersect(conj(frame, "window"), conj(frame, "!window"))
         assert c is None
 
@@ -348,7 +351,7 @@ class TestCombine:
 
     def test_conflicting_window_evidence(self):
         # hand product: K = 0.335 * 0.5, then renormalize
-        frame = make_frame(["window"])
+        frame = Frame(["window"])
         w = simple_support(frame, conj(frame, "window"), 0.335)
         nw = simple_support(frame, conj(frame, "!window"), 0.5)
         outcome = combine(w, nw)
@@ -358,22 +361,22 @@ class TestCombine:
         assert outcome.result.mass(Clause.theta(frame)) == pytest.approx(0.3994, abs=5e-5)
 
     def test_total_conflict_raises(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         m1 = simple_support(frame, conj(frame, "a"), 1.0)
         m2 = simple_support(frame, conj(frame, "!a"), 1.0)
         with pytest.raises(TotalConflictError):
             combine(m1, m2)
 
     def test_high_but_partial_conflict_passes(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         m1 = simple_support(frame, conj(frame, "a"), 0.999999)
         m2 = simple_support(frame, conj(frame, "!a"), 1.0)
         outcome = combine(m1, m2)
         assert outcome.conflict == pytest.approx(0.999999)
 
     def test_frame_mismatch(self):
-        m1 = vacuous(make_frame(["a"]))
-        m2 = vacuous(make_frame(["b"]))
+        m1 = vacuous(Frame(["a"]))
+        m2 = vacuous(Frame(["b"]))
         with pytest.raises(FrameMismatchError):
             combine(m1, m2)
 
@@ -399,7 +402,7 @@ class TestCombineAll:
                 assert other.mass(clause) == pytest.approx(mass, abs=1e-9)
 
     def test_four_feature_product_focal_count(self):
-        frame = make_frame(["elong", "text", "lt-bound", "rt-bound"])
+        frame = Frame(["elong", "text", "lt-bound", "rt-bound"])
         ms = [
             simple_support(frame, conj(frame, atom), s)
             for atom, s in (("elong", 0.5), ("text", 0.4),
@@ -431,10 +434,10 @@ class TestMassText:
         """An atom name the text format cannot carry is rejected when the
         frame is made, never misread when the formatted text is parsed."""
         try:
-            frame = make_frame(names)
+            frame = Frame(names)
         except ParseError:
             return
-        literals = [data.draw(st.sampled_from([atom, "!" + atom, ""])) for atom in frame.atoms]
+        literals = [data.draw(st.sampled_from([atom, "!" + atom, ""])) for atom in frame]
         focal = Clause.conjunction(frame, filter(None, literals))
         m = simple_support(frame, focal, data.draw(st.sampled_from([0.25, 0.5, 1.0])))
         assert parse_mass_text(format_mass_text(m)) == m

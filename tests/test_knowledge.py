@@ -20,7 +20,6 @@ from dsvision.evidence import (
     Literal,
     combine,
     combine_all,
-    make_frame,
     simple_support,
 )
 from dsvision.fixtures import SHUTTER_FRAME, shutter_evidence, shutter_knowledge
@@ -94,12 +93,12 @@ class TestVerify:
 
     def test_frame_mismatch(self):
         with pytest.raises(FrameMismatchError):
-            verify(vacuous(make_frame(["x"])), shutter_knowledge())
+            verify(vacuous(Frame(["x"])), shutter_knowledge())
 
     def test_bounded_by_committed_knowledge_mass(self):
         rng = random.Random(7)
         for _ in range(100):
-            frame = make_frame([f"a{i}" for i in range(rng.randint(1, 4))])
+            frame = Frame([f"a{i}" for i in range(rng.randint(1, 4))])
             m_e = random_mass(rng, frame)
             ks = random_knowledge(rng, frame)
             bel = verify(m_e, ks).bel
@@ -108,7 +107,7 @@ class TestVerify:
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(99)
         for _ in range(200):
-            frame = make_frame([f"a{i}" for i in range(rng.randint(1, 4))])
+            frame = Frame([f"a{i}" for i in range(rng.randint(1, 4))])
             m_e = random_mass(rng, frame)
             ks = random_knowledge(rng, frame)
             assert verify(m_e, ks).bel == pytest.approx(
@@ -124,7 +123,7 @@ class TestVerify:
         def bel(supports):
             ms = [
                 simple_support(frame, Clause.parse(frame, atom), s)
-                for atom, s in zip(frame.atoms, supports)
+                for atom, s in zip(frame, supports)
             ]
             return verify(combine_all(ms).result, window_knowledge()).bel
 
@@ -170,7 +169,7 @@ class TestSiblingStage:
 class TestToSimpleSupport:
     def test_reinjection(self):
         result = verify(shutter_evidence(), shutter_knowledge())
-        frame = make_frame(["shutter", "chimney"])
+        frame = Frame(["shutter", "chimney"])
         m = to_simple_support(result, Clause.parse(frame, "shutter"), frame)
         assert m.mass(Clause.parse(frame, "shutter")) == pytest.approx(result.bel)
         assert m.mass(Clause.theta(frame)) == pytest.approx(1.0 - result.bel)
@@ -237,7 +236,7 @@ class TestParseKnowledge:
         the two lines."""
         text = ("hypothesis h\nframe a b c\nfocal a&b 0.1\nfocal c 0.3\nfocal b&a 0.3\n"
                 "focal THETA 0.1\nfocal THETA 0.2\n")
-        frame = make_frame("abc")
+        frame = Frame("abc")
         ab, c = Clause.parse(frame, "a&b"), Clause.parse(frame, "c")
         by_hand = KnowledgeSource("h", frame, ((ab, 0.1), (c, 0.3), (ab, 0.3)), 0.1 + 0.2)
         merged = KnowledgeSource("h", frame, ((ab, 0.1 + 0.3), (c, 0.3)), 0.1 + 0.2)
@@ -256,16 +255,21 @@ class TestRecords:
     equal and hash equal when built alike, and validate when built directly."""
 
     def test_fields_cannot_be_set(self):
-        frame = make_frame("ab")
+        frame = Frame("ab")
         a = Clause.parse(frame, "a")
         m = simple_support(frame, a, 0.6)
         ks = KnowledgeSource.build("h", frame, [("a|b", 0.7), ("THETA", 0.3)])
-        records = [(frame, "atoms"), (Literal("a"), "positive"), (a, "pos"),
+        records = [(Literal("a"), "positive"), (a, "pos"),
                    (combine(m, m), "conflict"), (ks, "theta_mass"), (verify(m, ks), "bel")]
         for record, field in records:
             for name in (field, "extra"):
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, field))
+        # a frame is the tuple of its atoms, with no field of its own
+        with pytest.raises(TypeError):
+            frame[0] = "b"
+        with pytest.raises(AttributeError):
+            frame.extra = "b"
 
     def test_equal_sources_share_a_stage_cache_entry(self):
         text = (f"hypothesis window\nframe {' '.join(FEATURE_ATOMS)}\n"
@@ -280,7 +284,7 @@ class TestRecords:
     def test_direct_construction_validates(self):
         with pytest.raises(DuplicateAtomError, match="^duplicate atom 'a'$"):
             Frame(("a", "a"))
-        frame = make_frame("ab")
+        frame = Frame("ab")
         with pytest.raises(ContradictionError, match="both polarities"):
             Clause(frame, CONJUNCTION, 1, 1)
         with pytest.raises(NormalizationError, match=r"^mass nan on a outside \(0, 1\]$"):

@@ -13,7 +13,7 @@ from dsvision.errors import CorruptHeaderError, TruncatedDataError, UnsupportedF
 from dsvision.fixtures import synthetic_facade
 from dsvision.netpbm import _tokenize_header, read_pgm, write_ppm
 from dsvision.pyramid import CandidateArea, Rect
-from dsvision.report import (HUE_MID, HUE_STRONG, HUE_WEAK, ReportRow, format_report,
+from dsvision.report import (COLUMNS, HUE_MID, HUE_STRONG, HUE_WEAK, ReportRow, format_report,
                              write_overlay)
 
 
@@ -419,6 +419,12 @@ class TestReport:
         content = format_report([])
         assert content.count("\n") == 1
         assert content.startswith("id\t")
+
+    def test_fields_are_the_columns(self):
+        # the row's fields and the TSV header are the one list of names
+        assert ReportRow._fields == COLUMNS
+        assert format_report([]) == "\t".join(ReportRow._fields) + "\n"
+        assert make_row("1", 0.25).bel_wnd_c == 0.25
 
 
 class TestOverlay:

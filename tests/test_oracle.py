@@ -1,21 +1,27 @@
+import functools
+import operator
 import random
+import re
 
 import pytest
 
 from conftest import all_cubes, all_disjunctions, random_cube, random_mass, vacuous
 from dsvision.errors import TotalConflictError
 from dsvision.evidence import (
+    CONJUNCTION,
     Clause,
+    Frame,
     belief,
     clause_intersect,
     clause_subset,
     combine,
     combine_all,
-    make_frame,
     simple_support,
 )
 from dsvision.oracle import (
     OracleMass,
+    WorldSet,
+    atom_worlds,
     from_mass_function,
     oracle_belief,
     oracle_combine,
@@ -31,30 +37,44 @@ def popcount(mask: int) -> int:
 
 class TestToWorlds:
     def test_full_cube_single_world(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         ws = to_worlds(frame, Clause.conjunction(frame, ["a", "b"]))
         assert popcount(ws.members) == 1
         assert ws.members == 1 << 0b11
 
     def test_disjunction_three_worlds(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         ws = to_worlds(frame, Clause.disjunction(frame, ["a", "b"]))
         assert popcount(ws.members) == 3
         assert not ws.members & 1  # world 00 excluded
 
     def test_negation(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         ws = to_worlds(frame, Clause.conjunction(frame, ["!a"]))
         assert ws.members == 0b01
 
     def test_theta(self):
-        frame = make_frame(["a", "b", "c"])
+        frame = Frame(["a", "b", "c"])
         assert to_worlds(frame, Clause.theta(frame)) == theta_worlds(frame)
+
+    def test_every_clause_matches_its_literals_world_sets(self):
+        # the reference reads each literal off the clause text: the
+        # intersection of their world sets for a cube, the union for a
+        # disjunction
+        frame = Frame(["a", "b", "c", "d"])
+        for c in all_cubes(frame) + all_disjunctions(frame):
+            sets = [atom_worlds(frame, lit.lstrip("!"), not lit.startswith("!"))
+                    for lit in re.split(r"[&|]", str(c)) if lit != "THETA"]
+            if c.kind == CONJUNCTION:
+                want = functools.reduce(operator.and_, sets, theta_worlds(frame))
+            else:
+                want = WorldSet(frame, functools.reduce(operator.or_, [w.members for w in sets]))
+            assert to_worlds(frame, c) == want, str(c)
 
 
 class TestOracleCombine:
     def test_vacuous_identity(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         m = from_mass_function(simple_support(frame, Clause.parse(frame, "a"), 0.4))
         combined, k = oracle_combine(m, from_mass_function(vacuous(frame)))
         assert k == 0.0
@@ -78,7 +98,7 @@ class TestOracleCombine:
         assert len(acc) == len(fast_lifted)
 
     def test_disjoint_world_sets_total_conflict(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         m1 = from_mass_function(simple_support(frame, Clause.parse(frame, "a"), 1.0))
         m2 = from_mass_function(simple_support(frame, Clause.parse(frame, "!a"), 1.0))
         with pytest.raises(TotalConflictError):
@@ -101,7 +121,7 @@ class TestOracleBelief:
         assert oracle_belief(m, to_worlds(f, Clause.parse(f, "long"))) == pytest.approx(0.60)
 
     def test_vacuous_commits_nothing(self):
-        frame = make_frame(["a", "b"])
+        frame = Frame(["a", "b"])
         m = from_mass_function(vacuous(frame))
         proper = to_worlds(frame, Clause.parse(frame, "a"))
         assert oracle_belief(m, proper) == 0.0
@@ -138,7 +158,7 @@ class TestExhaustiveAgreement:
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 3])
     def test_subset_and_intersect_agree(self, n_atoms):
-        frame = make_frame([f"a{i}" for i in range(n_atoms)])
+        frame = Frame([f"a{i}" for i in range(n_atoms)])
         cubes = all_cubes(frame)
         targets = cubes + all_disjunctions(frame)
         for a in cubes:
@@ -159,7 +179,7 @@ class TestExhaustiveAgreement:
 def test_randomized_combine_and_belief_agreement():
     rng = random.Random(20240817)
     for _ in range(200):
-        frame = make_frame([f"a{i}" for i in range(rng.randint(1, 4))])
+        frame = Frame([f"a{i}" for i in range(rng.randint(1, 4))])
         m1 = random_mass(rng, frame)
         m2 = random_mass(rng, frame)
         try:

@@ -8,18 +8,18 @@ import pytest
 from conftest import all_cubes, random_cube, random_mass, vacuous
 from dsvision.evidence import (
     Clause,
+    Frame,
     belief,
     clause_subset,
     combine,
     combine_all,
-    make_frame,
     simple_support,
 )
 from dsvision.errors import TotalConflictError
 
 
 def frames():
-    return [make_frame([f"a{i}" for i in range(n)]) for n in (1, 2, 3, 4)]
+    return [Frame([f"a{i}" for i in range(n)]) for n in (1, 2, 3, 4)]
 
 
 class TestCombineAlgebra:
@@ -72,12 +72,12 @@ class TestSimpleSupportProduct:
             supports = [rng.random() * 0.9 + 0.05 for _ in range(n)]
             ms = [
                 simple_support(frame, Clause.conjunction(frame, [atom]), s)
-                for atom, s in zip(frame.atoms, supports)
+                for atom, s in zip(frame, supports)
             ]
             out = combine_all(ms)
             assert out.conflict == 0.0
             for mask in range(1 << n):
-                picked = [a for i, a in enumerate(frame.atoms) if mask >> i & 1]
+                picked = [a for i, a in enumerate(frame) if mask >> i & 1]
                 expected = math.prod(
                     s if mask >> i & 1 else 1.0 - s
                     for i, s in enumerate(supports))
@@ -85,7 +85,7 @@ class TestSimpleSupportProduct:
                     pytest.approx(expected, abs=1e-9)
 
     def test_same_atom_supports_compose(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         c = Clause.conjunction(frame, ["a"])
         out = combine(simple_support(frame, c, 0.3), simple_support(frame, c, 0.5))
         assert out.result.mass(c) == pytest.approx(1 - 0.7 * 0.5, abs=1e-12)
@@ -116,7 +116,7 @@ class TestBeliefMonotonicity:
         for frame in frames():
             for _ in range(30):
                 m = random_mass(rng, frame)
-                for atom in frame.atoms:
+                for atom in frame:
                     pos = belief(m, Clause.conjunction(frame, [atom]))
                     neg = belief(m, Clause.conjunction(frame, ["!" + atom]))
                     assert pos + neg <= 1.0 + 1e-9
@@ -147,7 +147,7 @@ class TestConflictAggregation:
                     assert folded.conflict == pytest.approx(1.0 - survival, abs=1e-9)
 
     def test_opposite_certainties_conflict_totally(self):
-        frame = make_frame(["a"])
+        frame = Frame(["a"])
         yes = simple_support(frame, Clause.conjunction(frame, ["a"]), 1.0)
         no = simple_support(frame, Clause.conjunction(frame, ["!a"]), 1.0)
         with pytest.raises(TotalConflictError):
@@ -155,7 +155,7 @@ class TestConflictAggregation:
 
     def test_random_cube_pair_conflict_in_range(self):
         rng = random.Random(49)
-        frame = make_frame(["a", "b", "c"])
+        frame = Frame(["a", "b", "c"])
         for _ in range(100):
             s1 = rng.random() * 0.9
             s2 = rng.random() * 0.9

@@ -570,6 +570,40 @@ class TestAggregateLongEdges:
                     assert (seg is not None) == ((row5, col5, d) in listed)
 
 
+@pytest.mark.parametrize("call", [
+    lambda e: aggregate_long_edges(build_pyramid(np.zeros((16, 16))), e),
+    lambda e: find_window_candidates(e),
+    lambda e: building_boundary(e, rect_columns([(0, 0, 4, 4)])),
+], ids=["long", "candidates", "boundary"])
+@pytest.mark.parametrize("rows, message", [
+    # a negative row used to index from the far end of the grid
+    ([[-3, 2, 2, 2], [2, 2, 6, 2]], r"^edge \(-3, 2, 2, 2\) has a cell (below 0|outside \[0, 8\))"),
+    ([[1, -2, 2, 2]], r"^edge \(1, -2, 2, 2\) has a cell"),
+    ([[1, 2, 9, 2], [3, 2, 6, 2]], r"^edge \(1, 2, 9, 2\) .* or a direction outside 0-7$"),
+    ([[1, 2, -1, 2]], r"^edge \(1, 2, -1, 2\) .* or a direction outside 0-7$"),
+    ([[1.0, 2, 2, 2]], r"^edges of type float64 and shape \(1, 4\) are not an \(N, 4\) integer"),
+    ([1, 2, 2, 2], r"^edges of type int64 and shape \(4,\) are not an \(N, 4\) integer"),
+    ([[1, 2, 2]], r"^edges of type int64 and shape \(1, 3\) are not an \(N, 4\) integer"),
+], ids=["negative-row", "negative-col", "direction-9", "direction-minus-1", "float", "1-d",
+        "three-columns"])
+def test_malformed_edge_rows_rejected(call, rows, message):
+    # each used to give a silent wrong answer or a bare numpy error
+    with pytest.raises(InvalidParamsError, match=message):
+        call(np.array(rows))
+
+
+def test_short_edges_beyond_the_grid_rejected():
+    # a 16 base has an 8x8 short-edge grid
+    p = build_pyramid(np.zeros((16, 16)))
+    for rows in ([[8, 0, 2, 2]], [[0, 8, 2, 2]]):
+        with pytest.raises(InvalidParamsError, match=r"has a cell outside \[0, 8\)"):
+            aggregate_long_edges(p, np.array(rows))
+    assert aggregate_long_edges(p, edges([(7, 7, 2, 2)])).shape == (0, 4)
+    # any integer type is taken
+    short = np.array([[2, 2, 2, 2], [2, 3, 2, 2]], dtype=np.uint8)
+    assert aggregate_long_edges(p, short).tolist() == [[1, 1, 2, 2]]
+
+
 def test_components_keep_index_order():
     # each node is labelled with the lowest member of its component, whatever
     # the link order: building_boundary's tie-break relies on it
@@ -699,8 +733,9 @@ class TestMeasureFeatures:
         micro = edge_field(16, [])
         inside = (0, 0, 4, 4)
         for rect in ((10, 10, 8, 8), (-1, 0, 4, 4), (0, -1, 4, 4),
-                     (4, 4, 0, 4), (4, 4, 4, 0)):   # the last two are empty
-            with pytest.raises(RectOutOfBoundsError):
+                     (4, 4, 0, 4), (4, 4, 4, 0),   # these two are empty
+                     (2**62, 0, 2**62, 4)):   # top + height wraps negative
+            with pytest.raises(RectOutOfBoundsError, match=re.escape(f"rect {Rect(*rect)} ")):
                 measure_candidates(p, rect_columns([inside, rect]), micro)
 
     def test_out_of_bounds_names_the_first_bad_rect(self):

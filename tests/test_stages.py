@@ -21,7 +21,7 @@ from conftest import FACADE_REPORT_SHA256, random_knowledge
 from dsvision import evidence, pyramid, stages
 from dsvision.errors import (InvalidParamsError, NormalizationError, TotalConflictError,
                              UnknownAtomError)
-from dsvision.evidence import Clause, combine_all, make_frame, simple_support
+from dsvision.evidence import Clause, Frame, combine_all, simple_support
 from dsvision.fixtures import synthetic_facade
 from dsvision.knowledge import KnowledgeSource, verify
 from dsvision.oracle import OracleMass, atom_worlds, oracle_combine, oracle_verify, theta_worlds
@@ -196,7 +196,7 @@ class TestBatchedStages:
         def frame(atoms):
             atoms = list(atoms) + extra
             rng.shuffle(atoms)
-            return make_frame(atoms)
+            return Frame(atoms)
 
         window_ks = random_knowledge(rng, frame(FEATURE_ATOMS))
         sibling_ks = random_knowledge(rng, frame(SIBLING_ATOMS))
@@ -221,7 +221,7 @@ class TestBatchedStages:
             rng = random.Random(seed)
             extra = [f"x{i}" for i in range(rng.randint(0, 2))]
             window_ks, sibling_ks = (
-                random_knowledge(rng, make_frame(rng.sample(atoms + extra, len(atoms + extra))))
+                random_knowledge(rng, Frame(rng.sample(atoms + extra, len(atoms + extra))))
                 for atoms in (list(FEATURE_ATOMS), list(SIBLING_ATOMS)))
         for stage, picks in calls:
             table = np.array([pool[i % len(pool)] for i in picks]).reshape(-1, 4)
@@ -238,7 +238,7 @@ class TestBatchedStages:
             assert got.tobytes() == want.tobytes()
 
     def test_memo_stays_bounded(self):
-        ks = random_knowledge(random.Random(7), make_frame(FEATURE_ATOMS))
+        ks = random_knowledge(random.Random(7), Frame(FEATURE_ATOMS))
         rng = np.random.default_rng(7)
         for size in (1000, 3000, stages._MEMO_ROWS + 1, 10, 10):
             table = rng.random((size, 4))
@@ -312,14 +312,14 @@ class TestBatchedStages:
             stage_c_belief(0.5, s, 0.0, 0.0)
 
     def test_knowledge_frame_missing_an_atom(self):
-        short = make_frame(["elong", "text", "lt-bound"])
+        short = Frame(["elong", "text", "lt-bound"])
         ks = KnowledgeSource.build("window", short, [("elong", 0.5), ("THETA", 0.5)])
         with pytest.raises(UnknownAtomError):
             stage_a_belief(0.5, 0.4, 0.6, 0.6, window_ks=ks)
         for _ in range(2):   # also with no rows to verify, every time
             with pytest.raises(UnknownAtomError):
                 stage_a_belief(*[np.zeros(0)] * 4, window_ks=ks)
-        no_window = make_frame(["v-sibl", "h-sibl"])
+        no_window = Frame(["v-sibl", "h-sibl"])
         ks = KnowledgeSource.build("window", no_window, [("v-sibl", 1.0)])
         with pytest.raises(UnknownAtomError):
             stage_c_belief(0.5, 0.5, 0.6, 0.6, ks)

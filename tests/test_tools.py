@@ -1,5 +1,6 @@
 """The pure part of the benchmark tools: reading a result line, the
-alternating rounds and their summary.  No subprocess is started."""
+alternating rounds and their summary, and where two checkouts' output
+hashes first differ.  No subprocess is started."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 import bench_layers  # noqa: E402
+from identity import first_difference  # noqa: E402
 from paired import alternate, summarise  # noqa: E402
 
 
@@ -62,3 +64,36 @@ def test_summarise_gives_quartiles_and_paired_differences():
     # per-round differences 1, 3, 1, 4, 5
     assert summary["change"]["facades"]["minus_parent"] == {
         "t": {"median": 3.0, "q1": 1.0, "q3": 4.5}}
+
+
+HASHES = {"facade 1": {"report": "r1", "overlay": "o1"}, "evidence 1": {"combine": "c1"}}
+
+
+def test_first_difference_of_equal_outputs_is_none():
+    assert first_difference(HASHES, json.loads(json.dumps(HASHES))) is None
+    assert first_difference({}, {}) is None
+
+
+def test_first_difference_names_the_input_and_output():
+    got = {**HASHES, "evidence 1": {"combine": "c2"}}
+    assert first_difference(HASHES, got) == "evidence 1: combine"
+
+
+@pytest.mark.parametrize("want, got, where", [
+    (HASHES, {"facade 1": HASHES["facade 1"]}, "evidence 1: only one checkout has this input"),
+    ({"facade 1": HASHES["facade 1"]}, HASHES, "evidence 1: only one checkout has this input"),
+    (HASHES, {**HASHES, "facade 1": {"report": "r1"}}, "facade 1: overlay"),
+    (HASHES, {**HASHES, "facade 1": {**HASHES["facade 1"], "extra": "x"}}, "facade 1: extra"),
+], ids=["input-only-in-reference", "input-only-in-other", "output-only-in-reference",
+        "output-only-in-other"])
+def test_first_difference_reports_what_only_one_side_has(want, got, where):
+    assert first_difference(want, got) == where
+
+
+def test_first_difference_follows_the_reference_order():
+    other = {"evidence 1": {"combine": "c2"}, "facade 1": {"overlay": "o2", "report": "r2"}}
+    assert first_difference(HASHES, other) == "facade 1: report"
+    reordered = dict(reversed(HASHES.items()))
+    assert first_difference(reordered, other) == "evidence 1: combine"
+    # the other side's own inputs come after every one of the reference's
+    assert first_difference(HASHES, {"new": {}, **other}) == "facade 1: report"
