@@ -257,28 +257,27 @@ def _edge_rows(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.column_stack((*np.divmod(cell, keep.shape[1]), direction, counts.take(flat)))
 
 
-def aggregate_short_edges(p: Pyramid, micro: EdgeField,
+def aggregate_short_edges(micro: EdgeField,
                           config: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Short edges one level above the base: a cell holds a direction when
     enough of its four children agree on it.  One (row, col, direction,
     count) row per short edge."""
-    n = p.base.shape[0]
+    n = micro.directions.shape[0]
     directions = micro.directions.reshape(-1)
     flat = np.flatnonzero(directions != NO_EDGE)
-    rows, cols = np.divmod(flat, micro.directions.shape[1])
+    rows, cols = np.divmod(flat, n)
     key = ((rows // 2) * (n // 2) + cols // 2) * 8 + directions[flat]
     counts = np.bincount(key, minlength=(n // 2) ** 2 * 8).reshape(n // 2, n // 2, 8)
     return _edge_rows(counts, counts >= config.short_support)
 
 
-def aggregate_long_edges(p: Pyramid, short: np.ndarray,
+def aggregate_long_edges(short: np.ndarray, n: int,
                          config: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Long edges two levels above the base: a cell holds a direction when
-    enough of its four short-edge children carry it and two of those are
-    collinear along the edge orientation; a count threshold alone is not
-    enough.  Takes and returns (row, col, direction, count) rows."""
-    n6 = p.base.shape[0] // 2
-    n5 = n6 // 2
+    """Long edges two levels above the base of side ``n``: a cell holds a
+    direction when enough of its four short-edge children carry it and two of
+    those are collinear along the edge orientation; a count threshold alone
+    is not enough.  Takes and returns (row, col, direction, count) rows."""
+    n6, n5 = n // 2, n // 4
     short = _check_edges(short, n6)
     present = np.zeros((n6, n6, 8), dtype=bool)
     present[short[:, 0], short[:, 1], short[:, 2]] = True
@@ -348,10 +347,11 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return owner, first[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
 
 
-def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
+def _edge_lines(long_edges: np.ndarray, side: int) -> np.ndarray:
     """Horizontal edge lines as rows of (direction, row_min, row_max,
     col_start, col_end) in level-5 cells: the 4-connected components of the
-    long edges of each direction in ``VERTICAL_GRADIENT``.
+    long edges of each direction in ``VERTICAL_GRADIENT``, on the level's
+    ``side`` x ``side`` grid.
 
     A physical border registers at one or two adjacent level-5 rows; the
     pixel row 2 * (row_min + row_max + 1) places it at sub-cell resolution
@@ -360,8 +360,7 @@ def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
     """
     direction = long_edges[:, 2]
     edges = long_edges[(direction == VERTICAL_GRADIENT[0]) | (direction == VERTICAL_GRADIENT[1])]
-    shape = (2, edges[:, 0].max(initial=0) + 1, edges[:, 1].max(initial=0) + 3)
-    cells = np.zeros(shape, dtype=np.int8)
+    cells = np.zeros((2, side, side + 2), dtype=np.int8)
     cells[edges[:, 2] // 4, edges[:, 0], edges[:, 1] + 1] = 1
     step = np.diff(cells, axis=2)
     plane_row, start = np.divmod(np.flatnonzero(step == 1), step.shape[2])
@@ -378,9 +377,10 @@ def _edge_lines(long_edges: np.ndarray) -> np.ndarray:
     return lines[root == np.arange(len(root))]
 
 
-def find_window_candidates(long_edges: np.ndarray,
+def find_window_candidates(long_edges: np.ndarray, n: int,
                            config: PipelineConfig = DEFAULT_CONFIG) -> list[CandidateArea]:
-    """Rectangles spanned by opposite-polarity horizontal long-edge pairs.
+    """Rectangles spanned by opposite-polarity horizontal long-edge pairs,
+    two levels above the base of side ``n``.
 
     Pairs must overlap horizontally by at least one level-5 cell and be
     vertically separated within the configured range.  Nested rectangles
@@ -388,11 +388,12 @@ def find_window_candidates(long_edges: np.ndarray,
     of the top edge.
 
     Every line of one polarity is tested against every line of the other
-    at once.  A base of at most 128 has a 32x32 level-5 grid, which holds at
-    most 512 lines of each polarity (a checkerboard of single cells), so
-    the test takes at most 512 x 512 entries.
+    at once.  The level-5 grid of side n / 4 holds at most n * n / 32 lines
+    of each polarity (a checkerboard of single cells): 512 for the 128 base
+    that ``run_pipeline`` passes, so the test takes at most 512 x 512 entries.
     """
-    direction, row_min, row_max, start, end = _edge_lines(_check_edges(long_edges)).T
+    side = n // 4
+    direction, row_min, row_max, start, end = _edge_lines(_check_edges(long_edges, side), side).T
     pixel_row = 2 * (row_min + row_max + 1)
     d2, d6 = (np.flatnonzero(direction == d) for d in VERTICAL_GRADIENT)
     sep = np.abs(pixel_row[d2, None] - pixel_row[d6])
@@ -444,7 +445,7 @@ def _check_rects(rects, *per_rect) -> np.ndarray:
     return rects.astype(np.intp, copy=False)
 
 
-def _check_edges(edges, side: int | None = None) -> np.ndarray:
+def _check_edges(edges, side: int) -> np.ndarray:
     """``edges`` as (N, 4) intp rows of (row, col, direction, count), with
     cells in [0, side) and directions 0-7; else InvalidParamsError."""
     edges = np.asarray(edges)
@@ -452,18 +453,16 @@ def _check_edges(edges, side: int | None = None) -> np.ndarray:
         raise InvalidParamsError(f"edges of type {edges.dtype} and shape {edges.shape} "
                                  "are not an (N, 4) integer array")
     edges = edges.astype(np.intp, copy=False)
-    high = np.iinfo(np.intp).max if side is None else side
     # read as unsigned, a negative value lies above every bound
     row, col, direction = edges[:, :3].view(np.uintp).T
-    if max(row.max(initial=0), col.max(initial=0)) >= high or direction.max(initial=0) >= 8:
-        bad = (row >= high) | (col >= high) | (direction >= 8)
-        cells = "below 0" if side is None else f"outside [0, {side})"
+    if max(row.max(initial=0), col.max(initial=0)) >= side or direction.max(initial=0) >= 8:
+        bad = (row >= side) | (col >= side) | (direction >= 8)
         raise InvalidParamsError(f"edge {tuple(edges[bad.argmax()].tolist())} has a cell "
-                                 f"{cells} or a direction outside 0-7")
+                                 f"outside [0, {side}) or a direction outside 0-7")
     return edges
 
 
-def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.ndarray:
+def measure_candidates(rects: np.ndarray, micro: EdgeField) -> np.ndarray:
     """Shape, texture and boundary measurements over each of the (4, N)
     (top, left, height, width) candidate rects, as rows of elongation,
     edgedness, hv_d (inf where a rect holds no diagonal edge) and left and
@@ -474,7 +473,7 @@ def measure_candidates(p: Pyramid, rects: np.ndarray, micro: EdgeField) -> np.nd
     fraction of the rect's rows holding a vertical micro-edge within one
     pixel of the side column.
     """
-    n = p.base.shape[0]
+    n = micro.directions.shape[0]
     top, left, height, width = rects = _check_rects(rects)
     bottom, right = top + height, left + width
     # a column above the side is bad itself, since its sum may wrap around
@@ -538,12 +537,11 @@ def feature_supports(measurements: np.ndarray, config: PipelineConfig) -> np.nda
     return beliefs * config.quality_weight
 
 
-def stage_a_beliefs(rects: np.ndarray, p: Pyramid, micro: EdgeField,
-                    window_ks: KnowledgeSource | None,
+def stage_a_beliefs(rects: np.ndarray, micro: EdgeField, window_ks: KnowledgeSource | None,
                     config: PipelineConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Measure each candidate and verify the feature evidence: the (4, N)
     feature supports and the stage A beliefs."""
-    supports = feature_supports(measure_candidates(p, rects, micro), config)
+    supports = feature_supports(measure_candidates(rects, micro), config)
     return supports, stage_a_belief(*supports, window_ks=window_ks)
 
 
@@ -608,10 +606,10 @@ def _clusters(grid: np.ndarray, reach: int) -> np.ndarray:
     return label[node[:h, :w][grid]]
 
 
-def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
+def building_boundary(long_edges: np.ndarray, rects: np.ndarray, n: int,
                       config: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The non-window support of each candidate: set outside the building
-    region.
+    region, on the level-5 grid two levels above the base of side ``n``.
 
     The building region is the bounding box of the densest connected
     cluster of long-edge cells (cells within ``cluster_distance`` level-5
@@ -619,10 +617,10 @@ def building_boundary(long_edges: np.ndarray, rects: np.ndarray,
     cluster whose first cell in raster order comes last.  With no long
     edges at all, every candidate gets 0.
     """
-    long_edges, rects = _check_edges(long_edges), _check_rects(rects)
+    long_edges, rects = _check_edges(long_edges, n // 4), _check_rects(rects)
     outside = np.zeros(rects.shape[1], dtype=bool)
     if len(long_edges) and rects.size:
-        grid = np.zeros((long_edges[:, 0].max() + 1, long_edges[:, 1].max() + 1), dtype=bool)
+        grid = np.zeros((n // 4, n // 4), dtype=bool)
         grid[long_edges[:, 0], long_edges[:, 1]] = True
         rows, cols = np.nonzero(grid)
         cluster = _clusters(grid, config.cluster_distance)
@@ -667,15 +665,16 @@ def run_pipeline(image: np.ndarray,
     if not isinstance(config, PipelineConfig):
         raise InvalidParamsError(f"config of type {type(config).__name__} is not a PipelineConfig")
     p = build_pyramid(image)
+    n = p.base.shape[0]
     micro = extract_micro_edges(p, config)
-    short = aggregate_short_edges(p, micro, config)
-    long_edges = aggregate_long_edges(p, short, config)
-    cands = find_window_candidates(long_edges, config)
+    short = aggregate_short_edges(micro, config)
+    long_edges = aggregate_long_edges(short, n, config)
+    cands = find_window_candidates(long_edges, n, config)
     rects = _rects(cands)
-    supports, bel_a = stage_a_beliefs(rects, p, micro, window_ks, config)
+    supports, bel_a = stage_a_beliefs(rects, micro, window_ks, config)
     v_sibl, h_sibl = sibling_search(rects, bel_a, config)
     bel_b = stage_b_beliefs(bel_a, v_sibl, h_sibl, sibling_ks)
-    non_window = building_boundary(long_edges, rects, config)
+    non_window = building_boundary(long_edges, rects, n, config)
     bel_c, conflict = stage_c_beliefs(bel_a, non_window, v_sibl, h_sibl, sibling_ks)
     fields = np.vstack((supports, bel_a, bel_b, bel_c, v_sibl, h_sibl, non_window, conflict))
     for c, row in zip(cands, fields.T.tolist()):

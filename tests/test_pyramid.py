@@ -459,20 +459,18 @@ def edge_field(side, cells, direction=2):
 
 class TestAggregateShortEdges:
     def test_unanimous_block(self):
-        p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [(4, 6), (4, 7), (5, 6), (5, 7)])
-        short = aggregate_short_edges(p, micro)
+        short = aggregate_short_edges(micro)
         assert short.tolist() == [[2, 3, 2, 4]]
 
     def test_single_child_below_threshold(self):
-        p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [(4, 6)])
-        assert aggregate_short_edges(p, micro).shape == (0, 4)
+        assert aggregate_short_edges(micro).shape == (0, 4)
 
     def test_step_fixture_gives_unbroken_column(self):
         p = build_pyramid(step_image())
         micro = extract_micro_edges(p)
-        short = aggregate_short_edges(p, micro)
+        short = aggregate_short_edges(micro)
         cells = {(row, col) for row, col, d, _ in short.tolist() if d == 0}
         # both edge columns 7 and 8 fall in level-6 column 3 or 4
         for row in range(1, 7):
@@ -482,7 +480,7 @@ class TestAggregateShortEdges:
         fx = synthetic_facade()
         p = build_pyramid(fx.image)
         micro = extract_micro_edges(p)
-        short = aggregate_short_edges(p, micro)
+        short = aggregate_short_edges(micro)
         listed = {(row, col, d): count for row, col, d, count in short.tolist()}
         for row6 in range(0, 64, 7):
             for col6 in range(0, 64, 5):
@@ -502,35 +500,32 @@ class TestAggregateShortEdges:
                                 long_support=long_support)
         p = build_pyramid(random_image(seed, side))
         micro = extract_micro_edges(p, config)
-        short = aggregate_short_edges(p, micro, config)
+        short = aggregate_short_edges(micro, config)
         assert as_tuples(short) == scalar_short_edges(micro, short_support)
         # one integer row per edge, whose level the grid it indexes fixes
         assert short.shape[1] == 4 and short.dtype.kind == "i"
-        long_edges = aggregate_long_edges(p, short, config)
+        n = p.base.shape[0]   # a side above 128 is reduced to the 128 base
+        long_edges = aggregate_long_edges(short, n, config)
         short_set = {row[:3] for row in as_tuples(short)}
-        n5 = p.base.shape[0] // 4
-        assert as_tuples(long_edges) == scalar_long_edges(short_set, n5, long_support)
+        assert as_tuples(long_edges) == scalar_long_edges(short_set, n // 4, long_support)
         assert long_edges.shape[1] == 4 and long_edges.dtype.kind == "i"
 
 
 class TestAggregateLongEdges:
     def test_horizontally_adjacent_children(self):
-        p = build_pyramid(np.zeros((16, 16)))
         short = edges([(2, 2, 2, 2), (2, 3, 2, 2)])
-        long_edges = aggregate_long_edges(p, short)
+        long_edges = aggregate_long_edges(short, 16)
         assert long_edges.tolist() == [[1, 1, 2, 2]]
 
     def test_diagonal_children_fail_collinearity(self):
-        p = build_pyramid(np.zeros((16, 16)))
         short = edges([(2, 2, 2, 2), (3, 3, 2, 2)])
-        assert aggregate_long_edges(p, short).shape == (0, 4)
+        assert aggregate_long_edges(short, 16).shape == (0, 4)
 
     def test_vertical_direction_wants_same_column(self):
-        p = build_pyramid(np.zeros((16, 16)))
         short = edges([(2, 2, 0, 2), (3, 2, 0, 2)])
-        assert aggregate_long_edges(p, short).tolist() == [[1, 1, 0, 2]]
+        assert aggregate_long_edges(short, 16).tolist() == [[1, 1, 0, 2]]
         short_row = edges([(2, 2, 0, 2), (2, 3, 0, 2)])
-        assert aggregate_long_edges(p, short_row).shape == (0, 4)
+        assert aggregate_long_edges(short_row, 16).shape == (0, 4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 64, 128]),
@@ -541,16 +536,15 @@ class TestAggregateLongEdges:
         present = rng.random((n6, n6, 8)) < density
         cells = rng.permutation(np.argwhere(present))   # the row order must not matter
         short = np.column_stack((cells, np.full(len(cells), 2)))
-        p = build_pyramid(np.zeros((side, side)))
-        long_edges = aggregate_long_edges(p, short, PipelineConfig(long_support=support))
+        long_edges = aggregate_long_edges(short, side, PipelineConfig(long_support=support))
         short_set = set(map(tuple, cells.tolist()))
         assert as_tuples(long_edges) == scalar_long_edges(short_set, n6 // 2, support)
 
     def test_step_fixture_cascades_to_long_column(self):
         p = build_pyramid(step_image())
         micro = extract_micro_edges(p)
-        short = aggregate_short_edges(p, micro)
-        long_edges = aggregate_long_edges(p, short)
+        short = aggregate_short_edges(micro)
+        long_edges = aggregate_long_edges(short, 16)
         vertical = long_edges[long_edges[:, 2] == 0]
         assert set(vertical[:, 1].tolist()) == {1, 2}
         assert len(set(vertical[:, 0].tolist())) >= 2
@@ -559,8 +553,8 @@ class TestAggregateLongEdges:
         fx = synthetic_facade()
         p = build_pyramid(fx.image)
         micro = extract_micro_edges(p)
-        short = aggregate_short_edges(p, micro)
-        long_edges = aggregate_long_edges(p, short)
+        short = aggregate_short_edges(micro)
+        long_edges = aggregate_long_edges(short, 128)
         short_set = {row[:3] for row in as_tuples(short)}
         listed = {row[:3] for row in as_tuples(long_edges)}
         for row5 in range(0, 32, 3):
@@ -570,22 +564,26 @@ class TestAggregateLongEdges:
                     assert (seg is not None) == ((row5, col5, d) in listed)
 
 
+# each layer's grid is 8x8: short edges of a 16 base, long edges of a 32 one
 @pytest.mark.parametrize("call", [
-    lambda e: aggregate_long_edges(build_pyramid(np.zeros((16, 16))), e),
-    lambda e: find_window_candidates(e),
-    lambda e: building_boundary(e, rect_columns([(0, 0, 4, 4)])),
+    lambda e: aggregate_long_edges(e, 16),
+    lambda e: find_window_candidates(e, 32),
+    lambda e: building_boundary(e, rect_columns([(0, 0, 4, 4)]), 32),
 ], ids=["long", "candidates", "boundary"])
 @pytest.mark.parametrize("rows, message", [
     # a negative row used to index from the far end of the grid
-    ([[-3, 2, 2, 2], [2, 2, 6, 2]], r"^edge \(-3, 2, 2, 2\) has a cell (below 0|outside \[0, 8\))"),
-    ([[1, -2, 2, 2]], r"^edge \(1, -2, 2, 2\) has a cell"),
+    ([[-3, 2, 2, 2], [2, 2, 6, 2]], r"^edge \(-3, 2, 2, 2\) has a cell outside \[0, 8\)"),
+    ([[1, -2, 2, 2]], r"^edge \(1, -2, 2, 2\) has a cell outside \[0, 8\)"),
+    # a far cell used to size a grid of hundreds of MB
+    ([[0, 0, 2, 2], [4000, 4000, 6, 2]],
+     r"^edge \(4000, 4000, 6, 2\) has a cell outside \[0, 8\)"),
     ([[1, 2, 9, 2], [3, 2, 6, 2]], r"^edge \(1, 2, 9, 2\) .* or a direction outside 0-7$"),
     ([[1, 2, -1, 2]], r"^edge \(1, 2, -1, 2\) .* or a direction outside 0-7$"),
     ([[1.0, 2, 2, 2]], r"^edges of type float64 and shape \(1, 4\) are not an \(N, 4\) integer"),
     ([1, 2, 2, 2], r"^edges of type int64 and shape \(4,\) are not an \(N, 4\) integer"),
     ([[1, 2, 2]], r"^edges of type int64 and shape \(1, 3\) are not an \(N, 4\) integer"),
-], ids=["negative-row", "negative-col", "direction-9", "direction-minus-1", "float", "1-d",
-        "three-columns"])
+], ids=["negative-row", "negative-col", "far-cell", "direction-9", "direction-minus-1", "float",
+        "1-d", "three-columns"])
 def test_malformed_edge_rows_rejected(call, rows, message):
     # each used to give a silent wrong answer or a bare numpy error
     with pytest.raises(InvalidParamsError, match=message):
@@ -594,14 +592,13 @@ def test_malformed_edge_rows_rejected(call, rows, message):
 
 def test_short_edges_beyond_the_grid_rejected():
     # a 16 base has an 8x8 short-edge grid
-    p = build_pyramid(np.zeros((16, 16)))
     for rows in ([[8, 0, 2, 2]], [[0, 8, 2, 2]]):
         with pytest.raises(InvalidParamsError, match=r"has a cell outside \[0, 8\)"):
-            aggregate_long_edges(p, np.array(rows))
-    assert aggregate_long_edges(p, edges([(7, 7, 2, 2)])).shape == (0, 4)
+            aggregate_long_edges(np.array(rows), 16)
+    assert aggregate_long_edges(edges([(7, 7, 2, 2)]), 16).shape == (0, 4)
     # any integer type is taken
     short = np.array([[2, 2, 2, 2], [2, 3, 2, 2]], dtype=np.uint8)
-    assert aggregate_long_edges(p, short).tolist() == [[1, 1, 2, 2]]
+    assert aggregate_long_edges(short, 16).tolist() == [[1, 1, 2, 2]]
 
 
 def test_components_keep_index_order():
@@ -634,37 +631,37 @@ class TestFindWindowCandidates:
         # single-row edge lines at level-5 rows 1 and 3 sit 8 pixels apart
         long_edges = edges([(1, c, 6, 2) for c in range(2, 6)]
                            + [(3, c, 2, 2) for c in range(2, 6)])
-        cands = find_window_candidates(long_edges)
+        cands = find_window_candidates(long_edges, 128)
         assert len(cands) == 1
         assert cands[0].rect.height == 8
         assert cands[0].rect == Rect(6, 8, 8, 16)
 
     def test_no_edges_no_candidates(self):
-        assert find_window_candidates(edges([])) == []
+        assert find_window_candidates(edges([]), 128) == []
         # one polarity alone pairs with nothing
-        assert find_window_candidates(edges([(1, c, 2, 2) for c in range(4)])) == []
+        assert find_window_candidates(edges([(1, c, 2, 2) for c in range(4)]), 128) == []
 
     def test_same_polarity_pairs_rejected(self):
         long_edges = edges([(1, c, 6, 2) for c in range(2, 6)]
                            + [(3, c, 6, 2) for c in range(2, 6)])
-        assert find_window_candidates(long_edges) == []
+        assert find_window_candidates(long_edges, 128) == []
 
     def test_separation_range_enforced(self):
         make = lambda rows: edges([(rows[0], 2, 6, 2), (rows[1], 2, 2, 2)])
-        assert find_window_candidates(make((1, 1))) == []          # zero separation
-        assert len(find_window_candidates(make((1, 3)))) == 1
-        assert find_window_candidates(make((1, 30))) == []         # beyond max
+        assert find_window_candidates(make((1, 1)), 128) == []          # zero separation
+        assert len(find_window_candidates(make((1, 3)), 128)) == 1
+        assert find_window_candidates(make((1, 30)), 128) == []         # beyond max
 
     def test_no_horizontal_overlap_rejected(self):
         long_edges = edges([(1, 2, 6, 2), (3, 9, 2, 2)])
-        assert find_window_candidates(long_edges) == []
+        assert find_window_candidates(long_edges, 128) == []
 
     def test_nested_rectangles_deduplicated(self):
         # three parallel lines: the outermost pair is dropped
         long_edges = edges([(1, c, 6, 2) for c in range(2, 6)]
                            + [(3, c, 2, 2) for c in range(2, 6)]
                            + [(5, c, 2, 2) for c in range(2, 6)])
-        cands = find_window_candidates(long_edges)
+        cands = find_window_candidates(long_edges, 128)
         heights = sorted(c.rect.height for c in cands)
         assert heights == [8]
 
@@ -681,7 +678,7 @@ class TestFindWindowCandidates:
                                                  rows, cols):
         long_edges = random_long_edges(seed, rows, cols, density)
         config = PipelineConfig(pair_min_sep=min_sep, pair_max_sep=min_sep + extra_sep)
-        cands = find_window_candidates(long_edges, config)
+        cands = find_window_candidates(long_edges, 256, config)
         assert ([(c.id, c.rect) for c in cands]
                 == ref_find_window_candidates(long_edges.tolist(), config))
 
@@ -690,7 +687,8 @@ class TestFindWindowCandidates:
            st.integers(1, 40))
     def test_edge_lines_match_reference(self, seed, density, rows, cols):
         long_edges = random_long_edges(seed, rows, cols, density)
-        lines = sorted(as_tuples(_edge_lines(long_edges)), key=lambda ln: (ln[1], ln[3], ln[0]))
+        lines = as_tuples(_edge_lines(long_edges, 64))   # the level-5 grid of a 256 base
+        lines.sort(key=lambda ln: (ln[1], ln[3], ln[0]))
         assert lines == ref_edge_lines(long_edges.tolist())
 
     def test_facade_covers_all_planted_rectangles(self):
@@ -711,39 +709,34 @@ def _overlap(a: Rect, b: Rect) -> int:
 
 class TestMeasureFeatures:
     def test_elongation_arithmetic(self):
-        p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        [elongation], *_ = measure_candidates(p, rect_columns([(4, 4, 20, 5)]), micro)
+        [elongation], *_ = measure_candidates(rect_columns([(4, 4, 20, 5)]), micro)
         assert elongation == pytest.approx(4.0)
 
     def test_empty_interior(self):
-        p = build_pyramid(np.zeros((32, 32)))
         micro = edge_field(32, [])
-        _, [edgedness], [hv_d], _, _ = measure_candidates(p, rect_columns([(4, 4, 8, 8)]), micro)
+        _, [edgedness], [hv_d], _, _ = measure_candidates(rect_columns([(4, 4, 8, 8)]), micro)
         assert edgedness == 0.0
         assert hv_d == np.inf
 
     def test_no_candidates(self):
-        p = build_pyramid(np.zeros((16, 16)))
-        got = measure_candidates(p, rect_columns([]), edge_field(16, []))
+        got = measure_candidates(rect_columns([]), edge_field(16, []))
         assert got.shape == (5, 0) and got.dtype == np.float64
 
     def test_out_of_bounds(self):
-        p = build_pyramid(np.zeros((16, 16)))
         micro = edge_field(16, [])
         inside = (0, 0, 4, 4)
         for rect in ((10, 10, 8, 8), (-1, 0, 4, 4), (0, -1, 4, 4),
                      (4, 4, 0, 4), (4, 4, 4, 0),   # these two are empty
                      (2**62, 0, 2**62, 4)):   # top + height wraps negative
             with pytest.raises(RectOutOfBoundsError, match=re.escape(f"rect {Rect(*rect)} ")):
-                measure_candidates(p, rect_columns([inside, rect]), micro)
+                measure_candidates(rect_columns([inside, rect]), micro)
 
     def test_out_of_bounds_names_the_first_bad_rect(self):
-        p = build_pyramid(np.zeros((16, 16)))
         rects = rect_columns([(0, 0, 4, 4), (4, 4, 0, 4), (10, 10, 8, 8)])
         with pytest.raises(RectOutOfBoundsError, match=r"^rect Rect\(top=4, left=4, height=0, "
                                                        r"width=4\) empty or outside 16x16 base$"):
-            measure_candidates(p, rects, edge_field(16, []))
+            measure_candidates(rects, edge_field(16, []))
 
     def test_painted_window_is_axis_dominated(self):
         fx = synthetic_facade()
@@ -752,7 +745,7 @@ class TestMeasureFeatures:
         cand = next(c for c in result.candidates
                     if c.rect == Rect(top, left, height, width))
         _, _, [hv_d], [left], [right] = measure_candidates(
-            result.pyramid, rect_columns([(top, left, height, width)]), result.micro)
+            rect_columns([(top, left, height, width)]), result.micro)
         assert hv_d >= 4
         assert left >= 0.75
         assert right >= 0.75
@@ -856,11 +849,12 @@ class TestBuildingBoundary:
                       for seg in self.make_cluster(row, 2)]
         long_edges += [(25, 25, 2, 2)]  # lone distant edge
         inside, outside = (16, 12, 12, 16), (100, 100, 12, 16)
-        non_window = building_boundary(edges(long_edges), rect_columns([inside, outside]))
+        non_window = building_boundary(edges(long_edges), rect_columns([inside, outside]), 128)
         assert non_window.tolist() == [0.0, 0.5]
 
     def test_no_edges_all_zero(self):
-        assert building_boundary(edges([]), rect_columns([(10, 10, 12, 16)])).tolist() == [0.0]
+        non_window = building_boundary(edges([]), rect_columns([(10, 10, 12, 16)]), 128)
+        assert non_window.tolist() == [0.0]
 
     def test_facade_decoy_flagged(self):
         fx = synthetic_facade()
@@ -889,7 +883,7 @@ class TestBuildingBoundary:
         # a probe at (4k, 4m) has its center inside the box exactly when
         # level-5 cell (k, m) is
         probes = [(4 * k, 4 * m, 1, 1) for k in range(rows + 1) for m in range(cols + 1)]
-        non_window = building_boundary(long_edges, rect_columns(probes),
+        non_window = building_boundary(long_edges, rect_columns(probes), 256,
                                        PipelineConfig(cluster_distance=dist))
         box = ref_building_box(long_edges.tolist(), dist)
         for (top, left, _, _), value in zip(probes, non_window.tolist()):
@@ -906,7 +900,7 @@ class TestBuildingBoundary:
 
         result = run_pipeline(synthetic_facade().image)
         monkeypatch.setattr(pyramid, "_label", counted)
-        building_boundary(result.long_edges, pyramid._rects(result.candidates),
+        building_boundary(result.long_edges, pyramid._rects(result.candidates), 128,
                           PipelineConfig(cluster_distance=dist))
         assert len(calls) == 1
 
@@ -918,7 +912,8 @@ class TestBuildingBoundary:
         rects = rect_columns([(8, 8, 12, 16)])
         tracemalloc.start()
         try:
-            non_window = building_boundary(long_edges, rects, PipelineConfig(cluster_distance=10**6))
+            non_window = building_boundary(long_edges, rects, 256,
+                                           PipelineConfig(cluster_distance=10**6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -927,15 +922,15 @@ class TestBuildingBoundary:
 
 
 @pytest.mark.parametrize("call", [
-    lambda r: building_boundary(r.long_edges, pyramid._rects(r.candidates)[:3]),
-    lambda r: building_boundary(r.long_edges, pyramid._rects(r.candidates)[0]),
+    lambda r: building_boundary(r.long_edges, pyramid._rects(r.candidates)[:3], 128),
+    lambda r: building_boundary(r.long_edges, pyramid._rects(r.candidates)[0], 128),
     lambda r: sibling_search(pyramid._rects(r.candidates),
                              np.array([c.bel_a for c in r.candidates[:3]])),
     lambda r: sibling_search(pyramid._rects(r.candidates),
                              np.array([[c.bel_a] for c in r.candidates])),
-    lambda r: measure_candidates(r.pyramid, pyramid._rects(r.candidates).astype(float), r.micro),
-    lambda r: measure_candidates(r.pyramid, pyramid._rects(r.candidates).T, r.micro),
-    lambda r: pyramid.stage_a_beliefs(pyramid._rects(r.candidates) > 0, r.pyramid, r.micro, None),
+    lambda r: measure_candidates(pyramid._rects(r.candidates).astype(float), r.micro),
+    lambda r: measure_candidates(pyramid._rects(r.candidates).T, r.micro),
+    lambda r: pyramid.stage_a_beliefs(pyramid._rects(r.candidates) > 0, r.micro, None),
 ], ids=["boundary-three-rows", "boundary-one-row", "siblings-three-beliefs",
         "siblings-column-of-beliefs", "measure-float", "measure-transposed", "stage-a-bool"])
 def test_rects_not_integer_columns_rejected(call):

@@ -26,7 +26,7 @@ from dsvision.fixtures import synthetic_facade
 from dsvision.knowledge import KnowledgeSource, verify
 from dsvision.oracle import OracleMass, atom_worlds, oracle_combine, oracle_verify, theta_worlds
 from dsvision.pyramid import (DIAGONAL, HORIZONTAL_GRADIENT, NO_EDGE, VERTICAL_GRADIENT,
-                              CandidateArea, EdgeField, Rect, build_pyramid, feature_supports,
+                              CandidateArea, EdgeField, Rect, feature_supports,
                               measure_candidates, run_pipeline)
 from dsvision.report import format_report, report_from_result
 from dsvision.stages import (FEATURE_ATOMS, FEATURE_FRAME, SIBLING_ATOMS, sibling_knowledge,
@@ -65,7 +65,7 @@ def ref_stage_c(window, non_window, v_sibl, h_sibl, ks):
     return verify(outcome.result, ks).bel, outcome.conflict
 
 
-def ref_measure_features(p, r, micro):
+def ref_measure_features(r, micro):
     interior = micro.directions[r.top:r.bottom, r.left:r.right]
     edge_count = int(np.count_nonzero(interior != NO_EDGE))
     hv = int(np.count_nonzero(np.isin(interior, HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)))
@@ -286,10 +286,9 @@ class TestBatchedStages:
         assert stage_a_belief(empty, empty, empty, empty).shape == (0,)
         assert stage_b_belief(empty, empty, empty).shape == (0,)
         assert stage_c_belief(empty, empty, empty, empty).shape == (0,)
-        p = build_pyramid(np.zeros((16, 16)))
         micro = EdgeField(np.full((16, 16), NO_EDGE, dtype=np.int8))
         rects = np.zeros((4, 0), dtype=np.intp)
-        supports, bel_a = pyramid.stage_a_beliefs(rects, p, micro, window_knowledge())
+        supports, bel_a = pyramid.stage_a_beliefs(rects, micro, window_knowledge())
         assert supports.shape == (4, 0) and bel_a.shape == (0,)
         assert pyramid.stage_b_beliefs(empty, empty, empty, sibling_knowledge()).shape == (0,)
         bel_c, conflict = pyramid.stage_c_beliefs(empty, empty, empty, empty, sibling_knowledge())
@@ -385,7 +384,6 @@ class TestBatchedMeasurements:
     def test_random_fields_and_rects(self, seed, side):
         rng = np.random.default_rng(seed)
         micro = random_edge_field(rng, side)
-        p = build_pyramid(np.zeros((side, side)))
         rects = []
         for _ in range(int(rng.integers(1, 30))):
             top, left = (int(v) for v in rng.integers(0, side, size=2))
@@ -395,13 +393,13 @@ class TestBatchedMeasurements:
         # rects against the first and the last column, and the whole base
         rects += [Rect(0, 0, side, 1), Rect(1, side - 1, side - 1, 1),
                   Rect(0, 0, side, side), Rect(2, side - 3, 3, 3)]
-        got = measure_candidates(p, pyramid._rects([CandidateArea(0, r) for r in rects]), micro)
-        assert got.T.tolist() == [ref_measure_features(p, r, micro) for r in rects]
+        got = measure_candidates(pyramid._rects([CandidateArea(0, r) for r in rects]), micro)
+        assert got.T.tolist() == [ref_measure_features(r, micro) for r in rects]
 
     def test_facade_candidates(self):
         result = run_pipeline(synthetic_facade().image)
-        got = measure_candidates(result.pyramid, pyramid._rects(result.candidates), result.micro)
-        assert got.T.tolist() == [ref_measure_features(result.pyramid, c.rect, result.micro)
+        got = measure_candidates(pyramid._rects(result.candidates), result.micro)
+        assert got.T.tolist() == [ref_measure_features(c.rect, result.micro)
                                   for c in result.candidates]
         # stage A stores each candidate's supports as a tuple of floats
         supports = list(zip(*feature_supports(got, pyramid.DEFAULT_CONFIG).tolist()))
