@@ -174,19 +174,22 @@ def _check_same_frame(a, b) -> None:
         raise FrameMismatchError(f"frames differ: {a.frame} vs {b.frame}")
 
 
-def clause_subset(a: Clause, b: Clause) -> bool:
-    """World-set containment of cube ``a`` in clause ``b``.
+def containment(b: Clause) -> tuple[int, int]:
+    """(mask, least): cube ``x = pos | neg << MAX_ATOMS`` lies in clause ``b``
+    when ``x & mask >= least``.  That submask of ``mask`` reaches a
+    conjunction's whole mask only when ``x`` holds all its literals; a
+    positive disjunction's ``least`` is 1, so ``x`` needs one of its atoms."""
+    mask = b.pos | b.neg << MAX_ATOMS
+    return mask, mask if b.kind == CONJUNCTION else 1
 
-    For a conjunction ``b`` every literal of ``b`` must appear in ``a``; for a
-    positive disjunction ``b`` some atom of ``b`` must appear positively in
-    ``a``.  Theta is a subset only of theta.
-    """
+
+def clause_subset(a: Clause, b: Clause) -> bool:
+    """World-set containment of cube ``a`` in clause ``b``; see ``containment``."""
     _check_same_frame(a, b)
     if a.kind != CONJUNCTION:
         raise ParseError("subset test requires a conjunction on the left")
-    if b.kind == CONJUNCTION:
-        return (a.pos & b.pos) == b.pos and (a.neg & b.neg) == b.neg
-    return (a.pos & b.pos) != 0
+    mask, least = containment(b)
+    return (a.pos | a.neg << MAX_ATOMS) & mask >= least
 
 
 def clause_intersect(a: Clause, b: Clause) -> Clause | None:
@@ -195,11 +198,10 @@ def clause_intersect(a: Clause, b: Clause) -> Clause | None:
     _check_same_frame(a, b)
     if a.kind != CONJUNCTION or b.kind != CONJUNCTION:
         raise ParseError("intersection is defined on conjunction clauses")
-    pos = a.pos | b.pos
-    neg = a.neg | b.neg
-    if pos & neg:
+    c = a.pos | b.pos | (a.neg | b.neg) << MAX_ATOMS
+    if c & c >> MAX_ATOMS:
         return None
-    return Clause(a.frame, CONJUNCTION, pos, neg)
+    return Clause(a.frame, CONJUNCTION, c & _POS, c >> MAX_ATOMS)
 
 
 class MassFunction:
@@ -286,22 +288,28 @@ def simple_support(frame: Frame, focal: Clause, s: float) -> MassFunction:
 def belief(m: MassFunction, a: Clause) -> float:
     """Bel(a): total mass of focals contained in ``a``."""
     _check_same_frame(m, a)
-    return math.fsum(mass for focal, mass in m.items() if clause_subset(focal, a))
+    mask, least = containment(a)
+    return math.fsum(mass for (_, _, pos, neg), mass in m.items()
+                     if (pos | neg << MAX_ATOMS) & mask >= least)
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> CombineOutcome:
     """Dempster's orthogonal sum of two mass functions.
 
     Masses of pairs with empty intersection form the conflict K, which is
-    discarded and renormalized away.
+    discarded and renormalized away.  Focals meet as cubes ``pos | neg <<
+    MAX_ATOMS``: the intersection is their OR, empty when an atom is set in
+    both halves.
     """
     _check_same_frame(m1, m2)
-    products: dict[Clause, list[float]] = {}
+    right = [(pos | neg << MAX_ATOMS, mb) for (_, _, pos, neg), mb in m2.items()]
+    products: dict[int, list[float]] = {}
     conflict_terms = []
-    for a, ma in m1.items():
-        for b, mb in m2.items():
-            c = clause_intersect(a, b)
-            if c is None:
+    for (_, _, pos, neg), ma in m1.items():
+        x = pos | neg << MAX_ATOMS
+        for y, mb in right:
+            c = x | y
+            if c & c >> MAX_ATOMS:
                 conflict_terms.append(ma * mb)
             else:
                 products.setdefault(c, []).append(ma * mb)
@@ -309,7 +317,8 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombineOutcome:
     if k >= 1.0 - TOTAL_CONFLICT_TOL:
         raise TotalConflictError(f"total conflict K = {k}")
     scale = 1.0 / (1.0 - k)
-    focals = {c: math.fsum(terms) * scale for c, terms in products.items()}
+    focals = {Clause(m1.frame, CONJUNCTION, c & _POS, c >> MAX_ATOMS): math.fsum(terms) * scale
+              for c, terms in products.items()}
     return CombineOutcome(MassFunction(m1.frame, focals), k)
 
 

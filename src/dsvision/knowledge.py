@@ -25,7 +25,7 @@ from .evidence import (
     Clause,
     Frame,
     MassFunction,
-    clause_subset,
+    containment,
     read_focals,
 )
 
@@ -97,10 +97,11 @@ def verify(m_e: MassFunction, ks: KnowledgeSource) -> VerificationResult:
     """
     if m_e.frame != ks.frame:
         raise FrameMismatchError("evidence and knowledge over different frames")
+    tests = [(*containment(b), mb) for b, mb in ks.focals]   # positive: no neg bits
     terms = []
-    for a, ma in m_e.items():
-        for b, mb in ks.focals:
-            if clause_subset(a, b):
+    for (_, _, pos, _), ma in m_e.items():
+        for mask, least, mb in tests:
+            if pos & mask >= least:
                 terms.append(ma * mb)
     return VerificationResult(ks.name, math.fsum(terms))
 

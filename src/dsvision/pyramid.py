@@ -238,7 +238,7 @@ def extract_micro_edges(p: Pyramid, config: PipelineConfig = DEFAULT_CONFIG) -> 
     gy = row_weighted[2:, :] - row_weighted[:-2, :]
     hit = np.abs(gx) + np.abs(gy) >= config.edge_threshold
     directions = np.full((n, n), NO_EDGE, dtype=np.int8)
-    directions[1:n - 1, 1:n - 1][hit] = _octants(np.arctan2(gy[hit], gx[hit]))
+    directions[1:n - 1, 1:n - 1] = np.where(hit, _octants(np.arctan2(gy, gx)), NO_EDGE)
     return EdgeField(directions)
 
 
@@ -417,15 +417,6 @@ def find_window_candidates(long_edges: np.ndarray, n: int,
     return [CandidateArea(i, Rect(*r)) for i, r in enumerate(kept.tolist(), 1)]
 
 
-# one row per direction class, NO_EDGE (-1) in the last column: the edge
-# count (axis-aligned edges in the low 32 bits, diagonal ones above them,
-# exact for base sides up to 32768), and the vertical edge lines
-_DIRECTION_CLASSES = np.zeros((2, 9), dtype=np.int64)
-_DIRECTION_CLASSES[0, list(HORIZONTAL_GRADIENT + VERTICAL_GRADIENT)] = 1
-_DIRECTION_CLASSES[0, list(DIAGONAL)] = 1 << 32
-_DIRECTION_CLASSES[1, list(HORIZONTAL_GRADIENT)] = 1
-
-
 def _rects(cands: list[CandidateArea]) -> np.ndarray:
     """The candidates' (top, left, height, width) as four int rows."""
     rects = [(c.rect.top, c.rect.left, c.rect.height, c.rect.width) for c in cands]
@@ -469,9 +460,9 @@ def measure_candidates(rects: np.ndarray, micro: EdgeField) -> np.ndarray:
     right side coverage, one column per candidate.
 
     Edge counts are sums over the rect's rows of one running count per row
-    of the axis-aligned and diagonal micro-edges.  A side's coverage is the
-    fraction of the rect's rows holding a vertical micro-edge within one
-    pixel of the side column.
+    of the axis-aligned and diagonal (odd direction) micro-edges.  A side's
+    coverage is the fraction of the rect's rows holding a vertical
+    micro-edge (direction 0 or 4) within one pixel of the side column.
     """
     n = micro.directions.shape[0]
     top, left, height, width = rects = _check_rects(rects)
@@ -482,7 +473,10 @@ def measure_candidates(rects: np.ndarray, micro: EdgeField) -> np.ndarray:
     if bad.any():
         r = Rect(*rects[:, bad.argmax()].tolist())
         raise RectOutOfBoundsError(f"rect {r} empty or outside {n}x{n} base")
-    codes, vertical = _DIRECTION_CLASSES.take(micro.directions, axis=1, mode="wrap")
+    d = micro.directions
+    edge = d != NO_EDGE
+    codes = edge.astype(np.int64) << 32 * (d & 1)   # diagonal from bit 32: exact to side 32768
+    vertical = edge & (d & 3 == 0)
     counts = np.zeros((n, n + 1), dtype=np.int64)   # counts[row, k]: the row's first k pixels
     np.cumsum(codes, axis=1, out=counts[:, 1:])
     near = vertical.copy()

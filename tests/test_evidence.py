@@ -23,7 +23,9 @@ from dsvision.evidence import (
     DISJUNCTION,
     MASS_SUM_TOL,
     MAX_ATOMS,
+    TOTAL_CONFLICT_TOL,
     Clause,
+    CombineOutcome,
     Frame,
     MassFunction,
     belief,
@@ -415,6 +417,94 @@ class TestCombineAll:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParamsError):
             combine_all([])
+
+
+def ref_combine(m1: MassFunction, m2: MassFunction) -> CombineOutcome:
+    """Dempster's rule pair by pair through ``clause_intersect``, as
+    ``combine`` ran before it worked on cube ints: its exact reference."""
+    products: dict[Clause, list[float]] = {}
+    conflict_terms = []
+    for a, ma in m1.items():
+        for b, mb in m2.items():
+            c = clause_intersect(a, b)
+            if c is None:
+                conflict_terms.append(ma * mb)
+            else:
+                products.setdefault(c, []).append(ma * mb)
+    k = math.fsum(conflict_terms)
+    if k >= 1.0 - TOTAL_CONFLICT_TOL:
+        raise TotalConflictError(f"total conflict K = {k}")
+    scale = 1.0 / (1.0 - k)
+    focals = {c: math.fsum(terms) * scale for c, terms in products.items()}
+    return CombineOutcome(MassFunction(m1.frame, focals), k)
+
+
+def ref_belief(m: MassFunction, a: Clause) -> float:
+    return math.fsum(mass for focal, mass in m.items() if clause_subset(focal, a))
+
+
+def exact(m: MassFunction) -> list[tuple[Clause, str]]:
+    """The focals in insertion order, each mass by its exact bits."""
+    return [(c, mass.hex()) for c, mass in m.items()]
+
+
+# up to 4 atoms, so that drawn cubes often hold opposite literals
+small_frames = st.integers(1, 4).map(lambda n: Frame([f"a{i}" for i in range(n)]))
+
+
+@st.composite
+def mass_functions(draw, frame):
+    """A mass function over ``frame`` of 1-8 drawn cubes, theta among them,
+    with float masses normalized to sum to 1."""
+    weights = draw(st.dictionaries(clauses(frame, (CONJUNCTION,)), st.floats(0.01, 1.0),
+                                   min_size=1, max_size=8))
+    total = sum(weights.values())
+    return MassFunction(frame, {c: w / total for c, w in weights.items()})
+
+
+class TestKernelMatchesReference:
+    """``combine``, ``combine_all`` and ``belief`` give the reference's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_combine(self, data):
+        frame = data.draw(small_frames)
+        m1, m2 = data.draw(mass_functions(frame)), data.draw(mass_functions(frame))
+        try:
+            want = ref_combine(m1, m2)
+        except TotalConflictError:
+            with pytest.raises(TotalConflictError):
+                combine(m1, m2)
+            return
+        got = combine(m1, m2)
+        assert exact(got.result) == exact(want.result)
+        assert got.conflict.hex() == want.conflict.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_combine_all(self, data):
+        frame = data.draw(small_frames)
+        ms = data.draw(st.lists(mass_functions(frame), min_size=2, max_size=4))
+        acc, survival = ms[0], 1.0
+        try:
+            for m in ms[1:]:
+                acc, k = ref_combine(acc, m)
+                survival *= 1.0 - k
+        except TotalConflictError:
+            with pytest.raises(TotalConflictError):
+                combine_all(ms)
+            return
+        got = combine_all(ms)
+        assert exact(got.result) == exact(acc)
+        assert got.conflict.hex() == (1.0 - survival).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_belief(self, data):
+        frame = data.draw(small_frames)
+        m = data.draw(mass_functions(frame))
+        a = data.draw(clauses(frame))
+        assert belief(m, a).hex() == ref_belief(m, a).hex()
 
 
 class TestMassText:

@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_knowledge, random_mass, vacuous
 from dsvision import stages
@@ -15,15 +17,18 @@ from dsvision.errors import (
 )
 from dsvision.evidence import (
     CONJUNCTION,
+    DISJUNCTION,
     Clause,
     Frame,
     Literal,
+    MassFunction,
+    clause_subset,
     combine,
     combine_all,
     simple_support,
 )
 from dsvision.fixtures import SHUTTER_FRAME, shutter_evidence, shutter_knowledge
-from dsvision.knowledge import KnowledgeSource, parse_knowledge, verify
+from dsvision.knowledge import KnowledgeSource, VerificationResult, parse_knowledge, verify
 from dsvision.oracle import from_mass_function, oracle_verify
 from dsvision.stages import (
     FEATURE_ATOMS,
@@ -33,6 +38,7 @@ from dsvision.stages import (
     window_knowledge,
 )
 
+from test_evidence import mass_functions, small_frames
 from test_oracle import knowledge_to_oracle
 
 
@@ -71,7 +77,44 @@ focal THETA 0.4
 """
 
 
+def ref_verify(m_e: MassFunction, ks: KnowledgeSource) -> VerificationResult:
+    """Verification pair by pair through ``clause_subset``, as ``verify``
+    ran before it worked on masks: its exact reference."""
+    if m_e.frame != ks.frame:
+        raise FrameMismatchError("evidence and knowledge over different frames")
+    terms = []
+    for a, ma in m_e.items():
+        for b, mb in ks.focals:
+            if clause_subset(a, b):
+                terms.append(ma * mb)
+    return VerificationResult(ks.name, math.fsum(terms))
+
+
+@st.composite
+def knowledge_sources(draw, frame):
+    """A knowledge source over ``frame`` holding a positive conjunction, a
+    disjunction and 0-4 more drawn positive focals, with float masses."""
+    full = (1 << len(frame)) - 1
+    kinds = [CONJUNCTION, DISJUNCTION] + draw(st.lists(st.sampled_from(
+        [CONJUNCTION, DISJUNCTION]), max_size=4))
+    focals = [Clause(frame, kind, draw(st.integers(1, full)), 0) for kind in kinds]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(focals), max_size=len(focals)))
+    theta = draw(st.floats(0.0, 1.0))
+    total = sum(weights) + theta
+    return KnowledgeSource("drawn", frame, tuple((c, w / total) for c, w in zip(focals, weights)),
+                           theta / total)
+
+
 class TestVerify:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_reference(self, data):
+        frame = data.draw(small_frames)
+        m_e, ks = data.draw(mass_functions(frame)), data.draw(knowledge_sources(frame))
+        got, want = verify(m_e, ks), ref_verify(m_e, ks)
+        assert got.hypothesis == want.hypothesis
+        assert got.bel.hex() == want.bel.hex()
+
     def test_shutter_worked_example(self):
         result = verify(shutter_evidence(), shutter_knowledge())
         assert result.bel == pytest.approx(0.443, abs=5e-4)
